@@ -30,7 +30,7 @@ object NameBlocking {
     val unique = sharedNameBlocks(names1, names2)
       .filter(col("cnt1") === 1 && col("cnt2") === 1)
       .select("name")
-    names1.join(unique, "name")
+    names1.join(broadcast(unique), "name")
       .select(col("entity") as "e1", col("name"))
       .join(names2.select(col("entity") as "e2", col("name")), "name")
       .select("e1", "e2")

@@ -10,8 +10,8 @@ import repro.graph.DisjunctiveBlockingGraph
   *
   * Every rule is a pure DataFrame transform over the pruned disjunctive
   * blocking graph. Matches are (e1, e2) pairs oriented KB1-first; already
-  * matched entities are excluded via anti-joins (the Spark adaptation of
-  * the broadcasted match sets of paper §4.1).
+  * matched entities are excluded via broadcast anti-joins (the broadcast
+  * match sets of paper §4.1).
   */
 object MatchingRules {
 
@@ -22,7 +22,7 @@ object MatchingRules {
       .distinct()
 
   private def exclude(df: DataFrame, onCol: String, matched: DataFrame): DataFrame =
-    df.join(matched.select(col("entity") as onCol), Seq(onCol), "left_anti")
+    df.join(broadcast(matched.select(col("entity") as onCol)), Seq(onCol), "left_anti")
 
   /** R1 — Name Matching Rule: match every α = 1 edge (1×1 name blocks). */
   def r1(g: DisjunctiveBlockingGraph): DataFrame =
@@ -98,7 +98,7 @@ object MatchingRules {
 
   /** Orient directed (src, dst) pairs as (e1 ∈ KB1, e2 ∈ KB2). */
   def orient(pairs: DataFrame, kb1Entities: DataFrame): DataFrame = {
-    val e1Ids = kb1Entities.select(col("entity") as "src")
+    val e1Ids = broadcast(kb1Entities.select(col("entity") as "src"))
     val asIs = pairs.join(e1Ids, "src")
       .select(col("src") as "e1", col("dst") as "e2")
     val flipped = pairs.join(e1Ids, Seq("src"), "left_anti")

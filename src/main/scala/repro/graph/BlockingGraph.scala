@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.kb.{NameDiscovery, RelationImportance, Tokenizer}
+import repro.kb.{KBModel, NameDiscovery, RelationImportance, Tokenizer}
 import repro.blocking.{NameBlocking, TokenBlocking}
 import repro.core.MinoanERConfig
 
@@ -35,10 +35,6 @@ final case class DisjunctiveBlockingGraph(
     a.union(valueEdges.select("src", "dst"))
       .union(neighborEdges.select("src", "dst"))
       .distinct()
-  }
-
-  def cache(): DisjunctiveBlockingGraph = {
-    alphaEdges.cache(); valueEdges.cache(); neighborEdges.cache(); this
   }
 
   /** Materialize the three edge frames and truncate their lineage
@@ -83,13 +79,15 @@ object BlockingGraph {
     * neighbor lists applied to the retained β edges (γ).
     */
   def build(kb1in: DataFrame, kb2in: DataFrame, cfg: MinoanERConfig): DisjunctiveBlockingGraph = {
-    // the statistics passes (name discovery, relation importance) each scan
-    // the KBs several times — cache the inputs for the duration of the build
+    // every stage below scans the KBs — cache the inputs for the build
     val kb1 = kb1in.cache()
     val kb2 = kb2in.cache()
+    // one statistics pass per KB feeds name discovery and relation importance
+    val s1 = KBModel.summary(kb1)
+    val s2 = KBModel.summary(kb2)
     // ---- Name evidence (Alg 1 lines 5-9) ----
-    val names1 = NameDiscovery.names(kb1, cfg.k)
-    val names2 = NameDiscovery.names(kb2, cfg.k)
+    val names1 = NameDiscovery.names(kb1, s1, cfg.k)
+    val names2 = NameDiscovery.names(kb2, s2, cfg.k)
     val alpha = NameBlocking.alphaEdges(names1, names2)
 
     // ---- Value evidence (Alg 1 lines 10-19) ----
@@ -97,15 +95,14 @@ object BlockingGraph {
     val et2 = Tokenizer.entityTokens(kb2).cache()
     val (blocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
     val beta = ValueSimilarity.betaPairs(et1, et2, blocks)
-    val valueEdges = topKDirected(beta, "beta", cfg.bigK)
-      .withColumnRenamed("beta", "beta").cache()
+    val valueEdges = topKDirected(beta, "beta", cfg.bigK).cache()
 
     // ---- Neighbor evidence (Alg 1 lines 20-33) ----
     // Undirected retained β pairs: union of both directions, deduplicated,
     // oriented back to (e1 ∈ KB1, e2 ∈ KB2) via the edge's origin.
     val retained = retainedBetaPairs(valueEdges, kb1)
-    val inN1 = RelationImportance.topInNeighbors(kb1, cfg.n)
-    val inN2 = RelationImportance.topInNeighbors(kb2, cfg.n)
+    val inN1 = RelationImportance.topInNeighbors(kb1, s1, cfg.n)
+    val inN2 = RelationImportance.topInNeighbors(kb2, s2, cfg.n)
     val gamma = NeighborSimilarity.gammaPairs(retained, inN1, inN2)
     val neighborEdges = topKDirected(gamma, "gamma", cfg.bigK)
 
@@ -116,7 +113,7 @@ object BlockingGraph {
     * pairs (e1 ∈ KB1, e2 ∈ KB2, beta).
     */
   def retainedBetaPairs(valueEdges: DataFrame, kb1: DataFrame): DataFrame = {
-    val e1Ids = repro.kb.KBModel.entities(kb1).select(col("entity") as "src")
+    val e1Ids = broadcast(KBModel.entities(kb1).select(col("entity") as "src"))
     val fromE1 = valueEdges.join(e1Ids, "src")
       .select(col("src") as "e1", col("dst") as "e2", col("beta"))
     val fromE2 = valueEdges.join(e1Ids, Seq("src"), "left_anti")

@@ -30,7 +30,7 @@ object ValueSimilarity {
     val weighted = blocks.select(col("token"),
       tokenWeight(col("ef1"), col("ef2")) as "w")
     et1.select(col("entity") as "e1", col("token"))
-      .join(weighted, "token")
+      .join(broadcast(weighted), "token")
       .join(et2.select(col("entity") as "e2", col("token")), "token")
       .groupBy("e1", "e2")
       .agg(sum("w") as "beta")

@@ -46,6 +46,52 @@ object KBModel {
   /** Number of distinct entities |E|. */
   def entityCount(kb: DataFrame): Long = entities(kb).count()
 
+  /** Distinct subjects, instances (distinct triples) and objects of one
+    * predicate, over either its literal or its relation triples.
+    */
+  final case class PredicateCounts(subjects: Long, instances: Long, objects: Long)
+
+  /** The per-KB counts that name discovery and relation importance read:
+    * |E|, and the counts of every literal attribute and every relation.
+    * A pred used both ways appears in both maps with separate counts.
+    */
+  final case class KBSummary(
+      entities: Long,
+      attributes: Map[String, PredicateCounts],
+      relations: Map[String, PredicateCounts])
+
+  /** [[KBSummary]] of a KB in one aggregation, collected to the driver
+    * (a KB has few predicates). Objects are literal values for attributes
+    * and neighbor ids for relations.
+    */
+  def summary(kb: DataFrame): KBSummary = {
+    val isRelation = col("objId").isNotNull
+    val rows = kb
+      .select(col("subj"), col("pred"), isRelation as "isRelation",
+        when(isRelation, col("objId").cast(StringType)).otherwise(col("obj")) as "value")
+      .groupingSets(Seq(Seq(col("pred"), col("isRelation")), Seq.empty),
+        col("pred"), col("isRelation"))
+      .agg(grouping_id() as "level",
+        countDistinct("subj") as "subjects",
+        countDistinct("subj", "value") as "instances",
+        countDistinct("value") as "objects")
+      .collect()
+    val (total, perPred) = rows.partition(_.getAs[Long]("level") != 0L)
+    def counts(relation: Boolean): Map[String, PredicateCounts] =
+      perPred.filter(_.getAs[Boolean]("isRelation") == relation).map { r =>
+        r.getAs[String]("pred") -> PredicateCounts(
+          r.getAs[Long]("subjects"), r.getAs[Long]("instances"), r.getAs[Long]("objects"))
+      }.toMap
+    KBSummary(total.headOption.fold(0L)(_.getAs[Long]("subjects")),
+      counts(relation = false), counts(relation = true))
+  }
+
+  /** Harmonic mean of a predicate's support and discriminability: its
+    * importance (paper §2.2).
+    */
+  def harmonicMean(support: Double, discriminability: Double): Double =
+    2.0 * support * discriminability / (support + discriminability)
+
   /** `relations(e)` of the paper: distinct (entity, pred) with entity objects. */
   def entityRelations(kb: DataFrame): DataFrame =
     relationTriples(kb).select(col("subj") as "entity", col("pred")).distinct()

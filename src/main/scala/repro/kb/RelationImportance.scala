@@ -4,6 +4,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
+import KBModel.KBSummary
+
 /** Relation-importance statistics and top-neighbor extraction (paper §2.2,
   * Algorithm 1 lines 35–48).
   *
@@ -18,44 +20,61 @@ import org.apache.spark.sql.functions._
   */
 object RelationImportance {
 
+  /** Statistics of one relation. */
+  final case class RelationScore(
+      pred: String, instances: Long, objects: Long,
+      support: Double, discriminability: Double, importance: Double)
+
+  /** Per-relation statistics from a KB's [[KBModel.summary]]. */
+  def scores(s: KBSummary): Seq[RelationScore] = {
+    val n = s.entities.toDouble
+    s.relations.toSeq.map { case (pred, c) =>
+      val support = c.instances.toDouble / (n * n)
+      val discriminability = c.objects.toDouble / c.instances
+      RelationScore(pred, c.instances, c.objects,
+        support, discriminability, KBModel.harmonicMean(support, discriminability))
+    }
+  }
+
   /** Per-relation statistics of one KB.
     * Output: (pred, instances, objects, support, discriminability, importance).
     */
-  def relationScores(kb: DataFrame): DataFrame = {
-    val nEntities = KBModel.entityCount(kb).toDouble
-    val inst = KBModel.relationTriples(kb)
-      .select("subj", "pred", "objId").distinct()
-    inst.groupBy("pred")
-      .agg(count(lit(1)) as "instances", countDistinct("objId") as "objects")
-      .withColumn("support", col("instances") / lit(nEntities * nEntities))
-      .withColumn("discriminability", col("objects") / col("instances"))
-      .withColumn("importance",
-        lit(2.0) * col("support") * col("discriminability") /
-          (col("support") + col("discriminability")))
+  def relationScores(kb: DataFrame): DataFrame =
+    kb.sparkSession.createDataFrame(scores(KBModel.summary(kb)))
+
+  /** Adds each row's relation `importance`, looked up in a driver-side map,
+    * and `relRank`: the dense rank of its pred among the entity's relations
+    * by (importance desc, pred). All rows of one (entity, pred) share a
+    * rank, so rank r is the entity's r-th best distinct relation.
+    */
+  private def ranked(entityPreds: DataFrame, s: KBSummary): DataFrame = {
+    val importance = typedLit(scores(s).map(r => r.pred -> r.importance).toMap)
+    val w = Window.partitionBy("entity").orderBy(col("importance").desc, col("pred"))
+    entityPreds
+      .withColumn("importance", importance(col("pred")))
+      .withColumn("relRank", dense_rank().over(w))
   }
 
   /** Per-entity top-N relations by global importance.
     * Output: (entity, pred, importance, relRank). Ties broken by pred for
     * determinism.
     */
-  def topNRelations(kb: DataFrame, n: Int): DataFrame = {
-    val scores = relationScores(kb).select("pred", "importance")
-    val entRel = KBModel.entityRelations(kb)
-    val w = Window.partitionBy("entity").orderBy(col("importance").desc, col("pred"))
-    entRel.join(scores, "pred")
-      .withColumn("relRank", row_number().over(w))
+  def topNRelations(kb: DataFrame, n: Int): DataFrame =
+    ranked(KBModel.entityRelations(kb), KBModel.summary(kb))
       .filter(col("relRank") <= n)
       .select("entity", "pred", "importance", "relRank")
-  }
 
   /** `topNneighbors(e)`: distinct neighbors reachable via the entity's
     * top-N relations. Output: (entity, neighbor).
     */
-  def topNeighbors(kb: DataFrame, n: Int): DataFrame = {
-    val top = topNRelations(kb, n).select("entity", "pred")
-    KBModel.relationTriples(kb)
+  def topNeighbors(kb: DataFrame, n: Int): DataFrame =
+    topNeighbors(kb, KBModel.summary(kb), n)
+
+  def topNeighbors(kb: DataFrame, s: KBSummary, n: Int): DataFrame = {
+    val triples = KBModel.relationTriples(kb)
       .select(col("subj") as "entity", col("pred"), col("objId") as "neighbor")
-      .join(top, Seq("entity", "pred"))
+    ranked(triples, s)
+      .filter(col("relRank") <= n)
       .select("entity", "neighbor")
       .distinct()
   }
@@ -65,6 +84,9 @@ object RelationImportance {
     * Output: (entity, inNeighbor) — `inNeighbor` has `entity` as top neighbor.
     */
   def topInNeighbors(kb: DataFrame, n: Int): DataFrame =
-    topNeighbors(kb, n)
+    topInNeighbors(kb, KBModel.summary(kb), n)
+
+  def topInNeighbors(kb: DataFrame, s: KBSummary, n: Int): DataFrame =
+    topNeighbors(kb, s, n)
       .select(col("neighbor") as "entity", col("entity") as "inNeighbor")
 }

@@ -39,6 +39,7 @@ class TokenBlockingSpec extends SparkSpec {
     assert(TokenBlocking.purgeMaxComparisons(uniform) >= 6L)
     val (kept, stats) = TokenBlocking.purgedBlocks(uniform)
     assert(kept.count() === 10)
+    assert(stats.keptBlocks === 10)
     assert(stats.purgedBlocks === 0)
   }
 
@@ -57,7 +58,8 @@ class TokenBlockingSpec extends SparkSpec {
     val (kept, stats) = TokenBlocking.purgedBlocks(rows.toDF("token", "ef1", "ef2", "comparisons"))
     assert(stats.keptBlocks + stats.purgedBlocks === 51)
     assert(kept.count() === stats.keptBlocks)
-    assert(stats.purgedBlocks >= 1)
+    assert(stats.keptBlocks === 50)
+    assert(stats.purgedBlocks === 1)
   }
 
   test("purging never removes minimal blocks") {

@@ -1,7 +1,11 @@
 package repro.core
 
+import java.security.MessageDigest
+
+import org.apache.spark.JobCounter
+
 import repro.{SparkSpec, TestKBs}
-import repro.data.WebKBGen
+import repro.data.{DatasetProfile, WebKBGen}
 
 class MinoanERSpec extends SparkSpec {
 
@@ -81,5 +85,22 @@ class MinoanERSpec extends SparkSpec {
     val m = MinoanER.resolve(tiny.kb1, tiny.kb2, MinoanERConfig(k = 1, bigK = 5, n = 1, theta = 0.5))
     val s = Evaluation.scoreRestricted(m, tiny.truth)
     assert(s.f1 > 0.5, s"scores: ${s.pct}")
+  }
+
+  test("restaurant-lite (seed 1): resolve keeps its match set and its Spark job budget") {
+    // performance refactors must keep this match set exactly, and must not
+    // raise the fixed Spark cost of one resolve above this many jobs
+    val g = WebKBGen.generate(spark, DatasetProfile.restaurantLite.copy(seed = 1))
+    g.kb1.cache().count(); g.kb2.cache().count()
+    val (pairs, jobs) = JobCounter(spark.sparkContext) {
+      MinoanER.resolve(g.kb1, g.kb2).collect().map(r => (r.getLong(0), r.getLong(1)))
+    }
+    val lines = pairs.sorted.map { case (a, b) => s"$a,$b" }.mkString("\n")
+    val digest = MessageDigest.getInstance("SHA-256").digest(lines.getBytes("UTF-8"))
+      .take(8).map("%02x".format(_)).mkString
+    assert(pairs.length === 639)
+    assert(digest === "239e7b682b601628")
+    info(s"Spark jobs of one resolve: $jobs")
+    assert(jobs <= 96L, s"$jobs Spark jobs")
   }
 }
