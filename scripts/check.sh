@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Pre-merge check: the tier-1 test suite, then one traced benchmark run on
-# resolve-small. The benchmark run rebuilds perfbench/ against the current
-# sources, so an API change that breaks the benchmark fails here, and it
-# checks that the traced (stage-by-stage) and untraced match sets agree.
+# Pre-merge check: the tier-1 test suite, a compile of the Table 1-4 bench
+# suites (bench/), then one traced benchmark run on resolve-small. The
+# benchmark run rebuilds perfbench/ against the current sources, so an API
+# change that breaks the benchmark fails here, and it checks that the
+# traced (stage-by-stage) and untraced match sets agree.
 #
 #   scripts/check.sh
 #
-# Exits non-zero if a test fails, the benchmark does not build or run, or
-# the benchmark reports an incorrect or failed operation.
+# Exits non-zero if a test fails, the bench suites or the benchmark do not
+# build, the benchmark does not run, or the benchmark reports an incorrect
+# or failed operation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +20,9 @@ export SPARK_DRIVER_MEM="$(awk '/^MemTotal:/ {g = int($2 / 2097152)} END {print 
 export SPARK_LOCAL_DIRS="${SPARK_LOCAL_DIRS:-/tmp/spark-local}"
 
 timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true Test/compile
+# tier-1 compiles only the root project; this catches a signature change
+# that breaks the Table 1-4 bench suites
+timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true bench/Test/compile
 timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true "testOnly *"
 
 out="$(python3 perfbench/run.py --workload resolve-small --seed 1 --seconds 1 --trace 1)"

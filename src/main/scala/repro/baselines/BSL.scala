@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core.{Evaluation, Scores, UniqueMappingClustering}
 import repro.kb.{KBModel, Tokenizer}
-import repro.blocking.TokenBlocking
+import repro.blocking.PreparedPair
 
 /** BSL — the paper's heavily fine-tuned value-only baseline (§6,
   * “Baselines”).
@@ -61,24 +61,6 @@ object BSL {
               i => concat_ws(" ", slice(col("toks"), i + 1, lit(n))))) as "gram")
       }
     grams.groupBy("entity", "gram").agg(count(lit(1)) as "tf")
-  }
-
-  /** Candidate pairs of the unpruned disjunctive blocking graph: every pair
-    * co-occurring in a (purged) token block or sharing a name. Neighbor-only
-    * pairs have zero value similarity and can never win UMC at a positive
-    * threshold, so they are omitted (documented deviation).
-    */
-  def candidatePairs(et1: DataFrame, et2: DataFrame,
-                     names1: DataFrame, names2: DataFrame): DataFrame = {
-    val (blocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val tokenPairs = et1.select(col("entity") as "e1", col("token"))
-      .join(blocks.select("token"), "token")
-      .join(et2.select(col("entity") as "e2", col("token")), "token")
-      .select("e1", "e2")
-    val sharedNames = names1.select(col("entity") as "e1", col("name"))
-      .join(names2.select(col("entity") as "e2", col("name")), "name")
-      .select("e1", "e2")
-    tokenPairs.union(sharedNames).distinct()
   }
 
   /** All similarity columns for one (n, weighting) slice, restricted to the
@@ -140,25 +122,26 @@ object BSL {
         (col("ssum") / (col("sum1") + col("sum2"))) as "sigma")
   }
 
-  /** Full grid sweep; returns the best configuration by F1. */
+  /** Full grid sweep over `p`'s candidate pairs; returns the best
+    * configuration by F1. Neighbor-only pairs have zero value similarity
+    * and can never win UMC at a positive threshold, so they are omitted
+    * (documented deviation).
+    */
   def run(spark: SparkSession,
-          kb1: DataFrame, kb2: DataFrame,
-          names1: DataFrame, names2: DataFrame,
+          p: PreparedPair,
           truth: DataFrame,
           ns: Seq[Int] = Seq(1, 2, 3),
           thresholds: Seq[Double] = (0 until 20).map(_ * 0.05),
           capPerEntity: Int = 50): BslResult = {
 
-    val et1 = Tokenizer.entityTokens(kb1).cache()
-    val et2 = Tokenizer.entityTokens(kb2).cache()
-    val pairs = candidatePairs(et1, et2, names1, names2).cache()
+    val pairs = p.candidatePairs.cache()
     pairs.count()
     val tset = Evaluation.truthSet(truth)
 
     val results = Seq.newBuilder[(BslConfig, Scores)]
     for (n <- ns) {
-      val g1 = ngrams(kb1, n).cache()
-      val g2 = ngrams(kb2, n).cache()
+      val g1 = ngrams(p.kb1, n).cache()
+      val g2 = ngrams(p.kb2, n).cache()
       for (weighting <- Seq[Weighting](TF, TFIDF)) {
         val sims = pairSimilarities(g1, g2, pairs, weighting)
         val simCols: Seq[(Sim, String)] = weighting match {
@@ -181,7 +164,7 @@ object BSL {
       }
       g1.unpersist(); g2.unpersist()
     }
-    pairs.unpersist(); et1.unpersist(); et2.unpersist()
+    pairs.unpersist()
 
     val all = results.result()
     val (bestCfg, bestScores) = all.maxBy { case (c, s) => (s.f1, -c.threshold) }

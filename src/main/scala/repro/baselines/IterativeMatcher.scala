@@ -3,9 +3,9 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.UniqueMappingClustering
-import repro.kb.{KBModel, NameDiscovery, Tokenizer}
-import repro.blocking.TokenBlocking
+import repro.core.{MinoanERConfig, UniqueMappingClustering}
+import repro.kb.KBModel
+import repro.blocking.{NameBlocking, PreparedPair}
 
 import scala.collection.mutable
 
@@ -60,29 +60,16 @@ object IterativeMatcher {
     * unigram tokens, restricted to purged token-block pairs.
     * Output: (e1, e2, score ∈ [0, 1]).
     */
-  def valueScores(kb1: DataFrame, kb2: DataFrame): DataFrame = {
-    val g1 = BSL.ngrams(kb1, 1)
-    val g2 = BSL.ngrams(kb2, 1)
-    val et1 = Tokenizer.entityTokens(kb1)
-    val et2 = Tokenizer.entityTokens(kb2)
-    val (blocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val pairs = et1.select(col("entity") as "e1", col("token"))
-      .join(blocks.select("token"), "token")
-      .join(et2.select(col("entity") as "e2", col("token")), "token")
-      .select("e1", "e2").distinct()
-    BSL.pairSimilarities(g1, g2, pairs, BSL.TFIDF)
+  def valueScores(p: PreparedPair): DataFrame =
+    BSL.pairSimilarities(BSL.ngrams(p.kb1, 1), BSL.ngrams(p.kb2, 1),
+      p.betaPairs.select("e1", "e2"), BSL.TFIDF)
       .select(col("e1"), col("e2"), col("sigma") as "score")
       .filter(col("score") > 0)
-  }
 
   /** Seed pairs: 1×1 identical-name blocks (SiGMa starts from identical
     * entity names).
     */
-  def nameSeeds(kb1: DataFrame, kb2: DataFrame, k: Int = 2): DataFrame = {
-    val n1 = NameDiscovery.names(kb1, k)
-    val n2 = NameDiscovery.names(kb2, k)
-    repro.blocking.NameBlocking.alphaEdges(n1, n2)
-  }
+  def nameSeeds(p: PreparedPair): DataFrame = NameBlocking.alphaEdges(p.names1, p.names2)
 
   /** Neighbor adjacency collected to the driver: entity → Seq[(pred, neighbor)]. */
   private def adjacency(kb: DataFrame): Map[Long, Seq[(String, Long)]] =
@@ -97,12 +84,13 @@ object IterativeMatcher {
           cfg: IterConfig): DataFrame = {
     import spark.implicits._
 
-    val values = UniqueMappingClustering.collectCandidates(
-      valueScores(kb1, kb2), cfg.capPerEntity)
+    val p = PreparedPair(kb1, kb2, MinoanERConfig())
+    val values = UniqueMappingClustering.collectCandidates(valueScores(p), cfg.capPerEntity)
     val seeds: Seq[(Long, Long)] =
       if (cfg.seedFromNames)
-        nameSeeds(kb1, kb2).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+        nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
       else Seq.empty
+    p.unpersist()
 
     val adj1 = adjacency(kb1)
     val adj2 = adjacency(kb2)

@@ -28,44 +28,25 @@ final case class BlockStats(
 
 object BlockStatistics {
 
-  /** Compute Table-2 statistics.
-    *
-    * @param nameBlocks  shared name blocks (name, cnt1, cnt2, comparisons)
-    * @param tokenBlocks purged shared token blocks (token, ef1, ef2, comparisons)
-    * @param names1/2    (entity, name)
-    * @param et1/2       (entity, token)
-    * @param truth       ground truth (id1, id2)
+  /** Compute Table-2 statistics of a prepared pair's name blocks and
+    * purged token blocks against the ground truth (id1, id2).
     */
-  def compute(
-      nameBlocks: DataFrame,
-      tokenBlocks: DataFrame,
-      names1: DataFrame, names2: DataFrame,
-      et1: DataFrame, et2: DataFrame,
-      n1: Long, n2: Long,
-      truth: DataFrame): BlockStats = {
+  def compute(p: PreparedPair, truth: DataFrame): BlockStats = {
 
     def sumLong(df: DataFrame, c: String): Long = {
       val r = df.agg(coalesce(sum(col(c)), lit(0L))).collect()(0)
       r.getLong(0)
     }
 
+    val nameBlocks = NameBlocking.sharedNameBlocks(p.names1, p.names2)
     val bN = nameBlocks.count()
-    val bT = tokenBlocks.count()
+    val bT = p.blocks.count()
     val compN = sumLong(nameBlocks, "comparisons")
-    val compT = sumLong(tokenBlocks, "comparisons")
+    val compT = sumLong(p.blocks, "comparisons")
 
     // A truth pair is covered iff it shares a retained token or any name.
-    val keptTokens = tokenBlocks.select("token")
-    val t1 = et1.join(keptTokens, "token").select(col("entity") as "id1", col("token"))
-    val t2 = et2.join(keptTokens, "token").select(col("entity") as "id2", col("token"))
-    val coveredByToken = truth.join(t1, "id1").join(t2, Seq("id2", "token"))
-      .select("id1", "id2").distinct()
-    val sharedNames = nameBlocks.select("name")
-    val m1 = names1.join(sharedNames, "name").select(col("entity") as "id1", col("name"))
-    val m2 = names2.join(sharedNames, "name").select(col("entity") as "id2", col("name"))
-    val coveredByName = truth.join(m1, "id1").join(m2, Seq("id2", "name"))
-      .select("id1", "id2").distinct()
-    val covered = coveredByToken.union(coveredByName).distinct().count()
+    val covered = truth.select(col("id1") as "e1", col("id2") as "e2").distinct()
+      .join(p.candidatePairs, Seq("e1", "e2"), "left_semi").count()
     val total = truth.count()
 
     val comparisons = (compN + compT).toDouble
@@ -73,7 +54,7 @@ object BlockStatistics {
     val recall = if (total == 0) 0.0 else 100.0 * covered / total
     val f1 = if (precision + recall == 0) 0.0 else 2 * precision * recall / (precision + recall)
 
-    BlockStats(bN, bT, compN, compT, n1.toDouble * n2.toDouble,
+    BlockStats(bN, bT, compN, compT, p.summary1.entities.toDouble * p.summary2.entities,
       precision, recall, f1, covered, total)
   }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.blocking.PreparedPair
 import repro.graph.{BlockingGraph, DisjunctiveBlockingGraph}
 import repro.kb.KBModel
 
@@ -41,21 +42,20 @@ object MinoanER {
       kb1: DataFrame, kb2: DataFrame,
       cfg: MinoanERConfig,
       variant: Variant): DataFrame = {
-    val g = BlockingGraph.build(kb1, kb2, cfg).materialize()
-    matchGraph(g, kb1, kb2, cfg, variant)
+    val p = PreparedPair(kb1, kb2, cfg)
+    matchGraph(BlockingGraph.build(p).materialize(), p, variant)
   }
 
-  /** Run Algorithm 2 over a pre-built graph (shared across ablations). */
+  /** Run Algorithm 2 over a pre-built graph of `p` (shared across ablations). */
   def matchGraph(
       g: DisjunctiveBlockingGraph,
-      kb1: DataFrame, kb2: DataFrame,
-      cfg: MinoanERConfig,
+      p: PreparedPair,
       variant: Variant = Variant.Full): DataFrame = {
-    val e1 = KBModel.entities(kb1).cache()
-    val e2 = KBModel.entities(kb2)
-    val smaller = if (e1.count() <= e2.count()) e1 else e2
+    val e1 = KBModel.entities(p.kb1).cache()
+    val smaller =
+      if (p.summary1.entities <= p.summary2.entities) e1 else KBModel.entities(p.kb2)
 
-    val empty = emptyMatches(kb1)
+    val empty = emptyMatches(p.kb1)
     var m: DataFrame = empty
     var matched: DataFrame = MatchingRules.matchedEntities(m)
 
@@ -71,7 +71,7 @@ object MinoanER {
       matched = MatchingRules.matchedEntities(m).localCheckpoint(true)
     }
     if (variant.useR3) {
-      m = m.union(MatchingRules.r3(g, cfg.theta, e1, matched, variant.useNeighbors))
+      m = m.union(MatchingRules.r3(g, p.cfg.theta, e1, matched, variant.useNeighbors))
         .distinct().localCheckpoint(true)
     }
     if (variant.useR4) m = MatchingRules.r4(g, m)

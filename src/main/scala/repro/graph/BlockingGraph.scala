@@ -4,9 +4,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.kb.{KBModel, NameDiscovery, RelationImportance, Tokenizer}
-import repro.blocking.{NameBlocking, TokenBlocking}
-import repro.core.MinoanERConfig
+import repro.kb.KBModel
+import repro.blocking.{NameBlocking, PreparedPair}
 
 /** The pruned, directed disjunctive blocking graph (paper §3.2–3.3).
   *
@@ -48,10 +47,6 @@ final case class DisjunctiveBlockingGraph(
       alphaEdges.localCheckpoint(true),
       valueEdges.localCheckpoint(true),
       neighborEdges.localCheckpoint(true))
-
-  def unpersist(): Unit = {
-    alphaEdges.unpersist(); valueEdges.unpersist(); neighborEdges.unpersist()
-  }
 }
 
 object BlockingGraph {
@@ -72,39 +67,26 @@ object BlockingGraph {
       .filter(col("rank") <= k)
   }
 
-  /** Build the pruned disjunctive blocking graph of two KBs (Algorithm 1).
+  /** Build the pruned disjunctive blocking graph of a prepared KB pair
+    * (Algorithm 1).
     *
     * All three evidence types are computed from cheap inverted indices:
     * name blocks (α), purged token blocks (β), and the reversed top-N
     * neighbor lists applied to the retained β edges (γ).
     */
-  def build(kb1in: DataFrame, kb2in: DataFrame, cfg: MinoanERConfig): DisjunctiveBlockingGraph = {
-    // every stage below scans the KBs — cache the inputs for the build
-    val kb1 = kb1in.cache()
-    val kb2 = kb2in.cache()
-    // one statistics pass per KB feeds name discovery and relation importance
-    val s1 = KBModel.summary(kb1)
-    val s2 = KBModel.summary(kb2)
+  def build(p: PreparedPair): DisjunctiveBlockingGraph = {
     // ---- Name evidence (Alg 1 lines 5-9) ----
-    val names1 = NameDiscovery.names(kb1, s1, cfg.k)
-    val names2 = NameDiscovery.names(kb2, s2, cfg.k)
-    val alpha = NameBlocking.alphaEdges(names1, names2)
+    val alpha = NameBlocking.alphaEdges(p.names1, p.names2)
 
     // ---- Value evidence (Alg 1 lines 10-19) ----
-    val et1 = Tokenizer.entityTokens(kb1).cache()
-    val et2 = Tokenizer.entityTokens(kb2).cache()
-    val (blocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val beta = ValueSimilarity.betaPairs(et1, et2, blocks)
-    val valueEdges = topKDirected(beta, "beta", cfg.bigK).cache()
+    val valueEdges = topKDirected(p.betaPairs, "beta", p.cfg.bigK).cache()
 
     // ---- Neighbor evidence (Alg 1 lines 20-33) ----
     // Undirected retained β pairs: union of both directions, deduplicated,
     // oriented back to (e1 ∈ KB1, e2 ∈ KB2) via the edge's origin.
-    val retained = retainedBetaPairs(valueEdges, kb1)
-    val inN1 = RelationImportance.topInNeighbors(kb1, s1, cfg.n)
-    val inN2 = RelationImportance.topInNeighbors(kb2, s2, cfg.n)
-    val gamma = NeighborSimilarity.gammaPairs(retained, inN1, inN2)
-    val neighborEdges = topKDirected(gamma, "gamma", cfg.bigK)
+    val retained = retainedBetaPairs(valueEdges, p.kb1)
+    val gamma = NeighborSimilarity.gammaPairs(retained, p.inNeighbors1, p.inNeighbors2)
+    val neighborEdges = topKDirected(gamma, "gamma", p.cfg.bigK)
 
     DisjunctiveBlockingGraph(alpha, valueEdges, neighborEdges)
   }

@@ -2,10 +2,10 @@ package repro.harness
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.blocking.{BlockStatistics, BlockStats, NameBlocking, TokenBlocking}
+import repro.blocking.{BlockStatistics, BlockStats, PreparedPair}
 import repro.core._
 import repro.data.{DatasetProfile, KBProfile, WebKBGen}
-import repro.kb.{KBModel, KBStatistics, KBStats, NameDiscovery, Tokenizer}
+import repro.kb.{KBStatistics, KBStats}
 import repro.baselines._
 
 /** Builds the paper's evaluation tables (paper numbers vs measured) over
@@ -59,15 +59,9 @@ object Tables {
   // ------------------------------------------------------------- Table 2
 
   def table2(b: Bundle, cfg: MinoanERConfig = MinoanERConfig()): BlockStats = {
-    val et1 = Tokenizer.entityTokens(b.kb1).cache()
-    val et2 = Tokenizer.entityTokens(b.kb2).cache()
-    val (tokenBlocks, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val names1 = NameDiscovery.names(b.kb1, cfg.k)
-    val names2 = NameDiscovery.names(b.kb2, cfg.k)
-    val nameBlocks = NameBlocking.sharedNameBlocks(names1, names2)
-    val s = BlockStatistics.compute(nameBlocks, tokenBlocks, names1, names2,
-      et1, et2, KBModel.entityCount(b.kb1), KBModel.entityCount(b.kb2), b.truth)
-    et1.unpersist(); et2.unpersist()
+    val p = PreparedPair(b.kb1, b.kb2, cfg)
+    val s = BlockStatistics.compute(p, b.truth)
+    p.unpersist()
     s
   }
 
@@ -100,9 +94,10 @@ object Tables {
     case "MinoanER" =>
       Evaluation.scoreRestricted(MinoanER.resolve(b.kb1, b.kb2, cfg), b.truth)
     case "BSL" =>
-      val names1 = NameDiscovery.names(b.kb1, cfg.k)
-      val names2 = NameDiscovery.names(b.kb2, cfg.k)
-      BSL.run(spark, b.kb1, b.kb2, names1, names2, b.truth).bestScores
+      val p = PreparedPair(b.kb1, b.kb2, cfg)
+      val s = BSL.run(spark, p, b.truth).bestScores
+      p.unpersist()
+      s
     case "PARIS" =>
       Evaluation.scoreRestricted(ParisLite.run(spark, b.kb1, b.kb2), b.truth)
     case "SiGMa" =>
@@ -145,9 +140,10 @@ object Tables {
 
   def table4(spark: SparkSession, b: Bundle,
              cfg: MinoanERConfig = MinoanERConfig()): Seq[(String, Scores)] = {
-    val g = repro.graph.BlockingGraph.build(b.kb1, b.kb2, cfg).materialize()
+    val p = PreparedPair(b.kb1, b.kb2, cfg)
+    val g = repro.graph.BlockingGraph.build(p).materialize()
     table4Variants.map { case (name, v) =>
-      name -> Evaluation.scoreRestricted(MinoanER.matchGraph(g, b.kb1, b.kb2, cfg, v), b.truth)
+      name -> Evaluation.scoreRestricted(MinoanER.matchGraph(g, p, v), b.truth)
     }
   }
 }

@@ -43,9 +43,6 @@ object KBModel {
   def entities(kb: DataFrame): DataFrame =
     kb.select(col("subj") as "entity").distinct()
 
-  /** Number of distinct entities |E|. */
-  def entityCount(kb: DataFrame): Long = entities(kb).count()
-
   /** Distinct subjects, instances (distinct triples) and objects of one
     * predicate, over either its literal or its relation triples.
     */

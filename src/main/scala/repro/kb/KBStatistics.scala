@@ -28,17 +28,15 @@ object KBStatistics {
   private def isTypePred = col("pred").rlike("(?i)(^|[:#/])type$")
 
   def compute(kb: DataFrame): KBStats = {
-    val entities = KBModel.entityCount(kb)
+    val s = KBModel.summary(kb)
     val triples = kb.count()
     val avgTok = Tokenizer.averageTokens(Tokenizer.entityTokens(kb))
-    val attributes = KBModel.literals(kb).select("pred").distinct().count()
-    val relations = KBModel.relationTriples(kb).select("pred").distinct().count()
     val types = KBModel.literals(kb).filter(isTypePred)
       .select("obj").distinct().count()
     val vocabularies = kb
       .select(regexp_extract(col("pred"), "^([^:]+):", 1) as "vocab")
       .filter(length(col("vocab")) > 0)
       .distinct().count()
-    KBStats(entities, triples, avgTok, attributes, relations, types, vocabularies)
+    KBStats(s.entities, triples, avgTok, s.attributes.size, s.relations.size, types, vocabularies)
   }
 }

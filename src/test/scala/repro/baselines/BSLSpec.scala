@@ -1,7 +1,9 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestKBs}
-import repro.kb.{KBModel, NameDiscovery}
+import repro.blocking.PreparedPair
+import repro.core.MinoanERConfig
+import repro.kb.KBModel
 
 class BSLSpec extends SparkSpec {
 
@@ -9,6 +11,7 @@ class BSLSpec extends SparkSpec {
 
   private lazy val kb1 = TestKBs.kb1(spark)
   private lazy val kb2 = TestKBs.kb2(spark)
+  private lazy val p = PreparedPair(kb1, kb2, MinoanERConfig())
 
   test("unigram extraction counts term frequencies") {
     val kb = KBModel.fromRows(spark, Seq((1L, "a", "x x y", None)))
@@ -34,15 +37,12 @@ class BSLSpec extends SparkSpec {
   }
 
   test("candidatePairs unions token-block pairs and name pairs") {
-    val n1 = NameDiscovery.names(kb1, 2)
-    val n2 = NameDiscovery.names(kb2, 2)
-    val et1 = repro.kb.Tokenizer.entityTokens(kb1)
-    val et2 = repro.kb.Tokenizer.entityTokens(kb2)
-    val pairs = BSL.candidatePairs(et1, et2, n1, n2).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
+    val pairs = p.candidatePairs.collect().map(r => (r.getLong(0), r.getLong(1)))
+    assert(pairs.length === 4)
     assert(pairs.contains((TestKBs.Bray, TestKBs.Berkshire)))
     assert(pairs.contains((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
     assert(!pairs.contains((TestKBs.UK, TestKBs.JonnyLake)))
+    assert(pairs.distinct.length === pairs.length)
   }
 
   test("identical entities have similarity 1 under every measure") {
@@ -79,10 +79,7 @@ class BSLSpec extends SparkSpec {
   }
 
   test("similarities are within [0, 1]") {
-    val n1 = NameDiscovery.names(kb1, 2); val n2 = NameDiscovery.names(kb2, 2)
-    val et1 = repro.kb.Tokenizer.entityTokens(kb1)
-    val et2 = repro.kb.Tokenizer.entityTokens(kb2)
-    val pairs = BSL.candidatePairs(et1, et2, n1, n2)
+    val pairs = p.candidatePairs
     for (w <- Seq[BSL.Weighting](BSL.TF, BSL.TFIDF)) {
       val rows = BSL.pairSimilarities(BSL.ngrams(kb1, 1), BSL.ngrams(kb2, 1), pairs, w).collect()
       for (r <- rows; c <- Seq("cosine", "jaccard", "genJaccard", "sigma")) {
@@ -93,14 +90,12 @@ class BSLSpec extends SparkSpec {
   }
 
   test("grid sweep on figure-1 achieves perfect F1") {
-    val n1 = NameDiscovery.names(kb1, 2); val n2 = NameDiscovery.names(kb2, 2)
-    val res = BSL.run(spark, kb1, kb2, n1, n2, TestKBs.truth(spark), ns = Seq(1))
+    val res = BSL.run(spark, p, TestKBs.truth(spark), ns = Seq(1))
     assert(res.bestScores.f1 === 1.0, res.best.label)
   }
 
   test("grid sweep explores every requested configuration") {
-    val n1 = NameDiscovery.names(kb1, 2); val n2 = NameDiscovery.names(kb2, 2)
-    val res = BSL.run(spark, kb1, kb2, n1, n2, TestKBs.truth(spark),
+    val res = BSL.run(spark, p, TestKBs.truth(spark),
       ns = Seq(1), thresholds = Seq(0.0, 0.5))
     // 1 n-gram size × (3 TF sims + 4 TF-IDF sims) × 2 thresholds
     assert(res.all.size === 14)

@@ -1,9 +1,13 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestKBs}
+import repro.blocking.PreparedPair
+import repro.core.MinoanERConfig
 import repro.data.WebKBGen
 
 class IterativeMatcherSpec extends SparkSpec {
+
+  private lazy val figure1 = PreparedPair(TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig())
 
   test("editSimilarity of identical strings is 1") {
     assert(IterativeMatcher.editSimilarity("chef", "chef") === 1.0)
@@ -31,16 +35,18 @@ class IterativeMatcherSpec extends SparkSpec {
   }
 
   test("nameSeeds finds the unique shared figure-1 name") {
-    val seeds = IterativeMatcher.nameSeeds(TestKBs.kb1(spark), TestKBs.kb2(spark))
+    val seeds = IterativeMatcher.nameSeeds(figure1)
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(seeds === Set((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
   }
 
   test("valueScores are normalized and positive for overlapping pairs") {
-    val v = IterativeMatcher.valueScores(TestKBs.kb1(spark), TestKBs.kb2(spark))
+    val v = IterativeMatcher.valueScores(figure1)
       .collect().map(r => r.getDouble(2))
     assert(v.nonEmpty)
     assert(v.forall(s => s > 0 && s <= 1.0 + 1e-9))
+    assert(v.length === 4)
+    assert(math.abs(v.sum - 1.8499259117679030) < 1e-12, v.sum)
   }
 
   test("figure-1: SiGMa-lite style run matches all three pairs via propagation") {

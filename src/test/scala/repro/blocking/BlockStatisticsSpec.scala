@@ -1,20 +1,14 @@
 package repro.blocking
 
 import repro.{SparkSpec, TestKBs}
-import repro.kb.{NameDiscovery, Tokenizer}
+import repro.core.MinoanERConfig
 
 class BlockStatisticsSpec extends SparkSpec {
 
   import spark.implicits._
 
-  private lazy val stats = {
-    val kb1 = TestKBs.kb1(spark); val kb2 = TestKBs.kb2(spark)
-    val et1 = Tokenizer.entityTokens(kb1); val et2 = Tokenizer.entityTokens(kb2)
-    val (tb, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val n1 = NameDiscovery.names(kb1, 2); val n2 = NameDiscovery.names(kb2, 2)
-    val nb = NameBlocking.sharedNameBlocks(n1, n2)
-    BlockStatistics.compute(nb, tb, n1, n2, et1, et2, 4, 3, TestKBs.truth(spark))
-  }
+  private lazy val figure1 = PreparedPair(TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig())
+  private lazy val stats = BlockStatistics.compute(figure1, TestKBs.truth(spark))
 
   test("figure-1 blocking covers all three ground-truth matches") {
     assert(stats.coveredMatches === 3)
@@ -42,13 +36,8 @@ class BlockStatisticsSpec extends SparkSpec {
   }
 
   test("empty truth gives zero recall without dividing by zero") {
-    val kb1 = TestKBs.kb1(spark); val kb2 = TestKBs.kb2(spark)
-    val et1 = Tokenizer.entityTokens(kb1); val et2 = Tokenizer.entityTokens(kb2)
-    val (tb, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val n1 = NameDiscovery.names(kb1, 2); val n2 = NameDiscovery.names(kb2, 2)
-    val nb = NameBlocking.sharedNameBlocks(n1, n2)
     val emptyTruth = Seq.empty[(Long, Long)].toDF("id1", "id2")
-    val s = BlockStatistics.compute(nb, tb, n1, n2, et1, et2, 4, 3, emptyTruth)
+    val s = BlockStatistics.compute(figure1, emptyTruth)
     assert(s.recall === 0.0)
     assert(s.coveredMatches === 0)
   }
@@ -60,12 +49,8 @@ class BlockStatisticsSpec extends SparkSpec {
       (1L, "label", "qq11", None), (1L, "x", "alpha beta", None)))
     val kb2 = repro.kb.KBModel.fromRows(spark, Seq(
       (101L, "name", "QQ-11.", None), (101L, "y", "gamma delta", None)))
-    val et1 = Tokenizer.entityTokens(kb1); val et2 = Tokenizer.entityTokens(kb2)
-    val (tb, _) = TokenBlocking.purgedSharedBlocks(et1, et2)
-    val n1 = NameDiscovery.names(kb1, 1); val n2 = NameDiscovery.names(kb2, 1)
-    val nb = NameBlocking.sharedNameBlocks(n1, n2)
     val truth = Seq((1L, 101L)).toDF("id1", "id2")
-    val s = BlockStatistics.compute(nb, tb, n1, n2, et1, et2, 1, 1, truth)
+    val s = BlockStatistics.compute(PreparedPair(kb1, kb2, MinoanERConfig(k = 1)), truth)
     assert(s.coveredMatches === 1)
   }
 }

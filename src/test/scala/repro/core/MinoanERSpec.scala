@@ -101,6 +101,6 @@ class MinoanERSpec extends SparkSpec {
     assert(pairs.length === 639)
     assert(digest === "239e7b682b601628")
     info(s"Spark jobs of one resolve: $jobs")
-    assert(jobs <= 96L, s"$jobs Spark jobs")
+    assert(jobs <= 94L, s"$jobs Spark jobs")
   }
 }

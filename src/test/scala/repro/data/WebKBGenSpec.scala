@@ -15,8 +15,8 @@ class WebKBGenSpec extends SparkSpec {
   }
 
   test("entity counts match the profile") {
-    assert(KBModel.entityCount(g.kb1) === p.n1)
-    assert(KBModel.entityCount(g.kb2) === p.n2)
+    assert(KBModel.summary(g.kb1).entities === p.n1)
+    assert(KBModel.summary(g.kb2).entities === p.n2)
   }
 
   test("id ranges are disjoint across KBs") {
@@ -134,7 +134,7 @@ class WebKBGenSpec extends SparkSpec {
     for (prof <- DatasetProfile.all) {
       val tiny = prof.copy(name = prof.name + "-t", n1 = 50, n2 = 80, nMatches = 20)
       val gg = WebKBGen.generate(spark, tiny)
-      assert(KBModel.entityCount(gg.kb1) === 50)
+      assert(KBModel.summary(gg.kb1).entities === 50)
       assert(gg.truth.count() === 20)
     }
   }

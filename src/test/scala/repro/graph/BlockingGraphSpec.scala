@@ -1,6 +1,7 @@
 package repro.graph
 
 import repro.{SparkSpec, TestKBs}
+import repro.blocking.PreparedPair
 import repro.core.MinoanERConfig
 
 class BlockingGraphSpec extends SparkSpec {
@@ -8,7 +9,7 @@ class BlockingGraphSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val g = BlockingGraph.build(
-    TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig())
+    PreparedPair(TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig()))
 
   test("topKDirected keeps at most K out-edges per node in each direction") {
     val pairs = Seq(
@@ -75,7 +76,7 @@ class BlockingGraphSpec extends SparkSpec {
 
   test("pruning respects the configured K") {
     val small = BlockingGraph.build(
-      TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig(bigK = 1))
+      PreparedPair(TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig(bigK = 1)))
     val bySrc = small.valueEdges.collect().groupBy(_.getLong(0))
     assert(bySrc.values.forall(_.length <= 1))
   }

@@ -1,6 +1,7 @@
 package repro.harness
 
 import repro.{SparkSpec, TestKBs}
+import repro.blocking.BlockStats
 
 class TablesSpec extends SparkSpec {
 
@@ -25,6 +26,9 @@ class TablesSpec extends SparkSpec {
     val s = Tables.table2(bundle)
     assert(s.recall > 90.0, s"recall=${s.recall}")
     assert(s.tokenComparisons > 0)
+    assert(s === BlockStats(nameBlocks = 38, tokenBlocks = 423, nameComparisons = 38,
+      tokenComparisons = 473, cartesian = 16000.0, precision = 7.8277886497064575,
+      recall = 100.0, f1 = 14.51905626134301, coveredMatches = 40, totalMatches = 40))
   }
 
   test("renderTable2 renders every statistic row") {

@@ -20,8 +20,8 @@ class KBModelSpec extends SparkSpec {
     assert(e === Set(TestKBs.Restaurant1, TestKBs.JohnLakeA, TestKBs.Bray, TestKBs.UK))
   }
 
-  test("entityCount matches distinct subjects") {
-    assert(KBModel.entityCount(kb1) === 4)
+  test("summary counts distinct subjects as entities") {
+    assert(KBModel.summary(kb1).entities === 4)
   }
 
   test("entityRelations matches the paper's relations(e) example shape") {

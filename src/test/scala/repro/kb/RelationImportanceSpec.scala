@@ -21,7 +21,7 @@ class RelationImportanceSpec extends SparkSpec {
     .map(r => r.getString(0) -> r).toMap
 
   test("support follows Definition 2.2 (instances / |E|^2)") {
-    val n = KBModel.entityCount(kb).toDouble // 4 entities: 1,2,3,9
+    val n = KBModel.summary(kb).entities.toDouble // 4 entities: 1,2,3,9
     assert(math.abs(scores("good").getAs[Double]("support") - 3 / (n * n)) < 1e-12)
   }
 
