@@ -122,6 +122,8 @@ object BSL {
         (col("ssum") / (col("sum1") + col("sum2"))) as "sigma")
   }
 
+  private val CapPerEntity = 50
+
   /** Full grid sweep over `p`'s candidate pairs; returns the best
     * configuration by F1. Neighbor-only pairs have zero value similarity
     * and can never win UMC at a positive threshold, so they are omitted
@@ -131,8 +133,7 @@ object BSL {
           p: PreparedPair,
           truth: DataFrame,
           ns: Seq[Int] = Seq(1, 2, 3),
-          thresholds: Seq[Double] = (0 until 20).map(_ * 0.05),
-          capPerEntity: Int = 50): BslResult = {
+          thresholds: Seq[Double] = (0 until 20).map(_ * 0.05)): BslResult = {
 
     val pairs = p.candidatePairs.cache()
     pairs.count()
@@ -152,7 +153,7 @@ object BSL {
         // one Spark collect per weighting slice (all sim columns at once);
         // the UMC sweep over thresholds runs driver-side.
         val collected = UniqueMappingClustering.collectCandidatesMulti(
-          sims, simCols.map(_._2), capPerEntity)
+          sims, simCols.map(_._2), CapPerEntity)
         for (((sim, _), idx) <- simCols.zipWithIndex) {
           val scored = collected.map { case (a, b, ws) => (a, b, ws(idx)) }
           for (t <- thresholds) {

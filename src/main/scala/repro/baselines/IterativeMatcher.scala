@@ -38,9 +38,10 @@ object IterativeMatcher {
       /** RiMOM-IM heuristic: if all but one neighbor pair of a matched pair
         * (via compatible relations) are matched, match the remaining pair.
         */
-      siblingCompletion: Boolean = false,
-      capPerEntity: Int = 30,
-      maxAccepted: Int = 2000000)
+      siblingCompletion: Boolean = false)
+
+  private val CapPerEntity = 30
+  private val MaxAccepted = 2000000
 
   /** Normalized edit similarity of relation names (LINDA-style compat). */
   def editSimilarity(a: String, b: String): Double = {
@@ -85,7 +86,7 @@ object IterativeMatcher {
     import spark.implicits._
 
     val p = PreparedPair(kb1, kb2, MinoanERConfig())
-    val values = UniqueMappingClustering.collectCandidates(valueScores(p), cfg.capPerEntity)
+    val values = UniqueMappingClustering.collectCandidates(valueScores(p), CapPerEntity)
     val seeds: Seq[(Long, Long)] =
       if (cfg.seedFromNames)
         nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
@@ -172,7 +173,7 @@ object IterativeMatcher {
       if (s >= cfg.threshold) pq.enqueue(Entry(s, a, b))
     }
 
-    while (pq.nonEmpty && accepted.size < cfg.maxAccepted) {
+    while (pq.nonEmpty && accepted.size < MaxAccepted) {
       val e = pq.dequeue()
       if (!matched1.contains(e.a) && !matched2.contains(e.b)) {
         val fresh = score(e.a, e.b)

@@ -10,16 +10,17 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * acceptance threshold.
   */
 object LindaLite {
-  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame,
-          valueWeight: Double = 0.7,
-          threshold: Double = 0.5,
-          minNameSim: Double = 0.75): DataFrame = {
+  private val ValueWeight = 0.7
+  private val Threshold = 0.5
+  private val MinNameSim = 0.75
+
+  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame): DataFrame = {
     val compat: IterativeMatcher.RelCompat = (p1, p2) => {
       val s = IterativeMatcher.editSimilarity(stripVocab(p1), stripVocab(p2))
-      if (s >= minNameSim) s else 0.0
+      if (s >= MinNameSim) s else 0.0
     }
     IterativeMatcher.run(spark, kb1, kb2,
-      IterativeMatcher.IterConfig(valueWeight, threshold, compat))
+      IterativeMatcher.IterConfig(ValueWeight, Threshold, compat))
   }
 
   private def stripVocab(p: String): String = p.dropWhile(_ != ':').drop(1) match {

@@ -31,22 +31,21 @@ import repro.kb.KBModel
   */
 object ParisLite {
 
-  final case class Config(
-      iterations: Int = 3,
-      acceptThreshold: Double = 0.5,
-      maxValuePairs: Long = 64, // ignore literal values with cnt1·cnt2 above this
-      capPerEntity: Int = 50)
+  private val Iterations = 3
+  private val AcceptThreshold = 0.5
+  private val MaxValuePairs = 64L // ignore literal values with cnt1·cnt2 above this
+  private val CapPerEntity = 50
 
   /** Literal-equality evidence: (e1, e2, logNot) where
     * logNot = Σ log(1 − w) over shared exact values.
     */
-  private def literalEvidence(kb1: DataFrame, kb2: DataFrame, cfg: Config): DataFrame = {
+  private def literalEvidence(kb1: DataFrame, kb2: DataFrame): DataFrame = {
     def vals(kb: DataFrame, side: Int) =
       KBModel.literals(kb).select(col("subj") as s"e$side", col("obj") as "v").distinct()
     val c1 = vals(kb1, 1).groupBy("v").agg(count(lit(1)) as "cnt1")
     val c2 = vals(kb2, 2).groupBy("v").agg(count(lit(1)) as "cnt2")
     val weights = c1.join(c2, "v")
-      .filter(col("cnt1") * col("cnt2") <= cfg.maxValuePairs)
+      .filter(col("cnt1") * col("cnt2") <= MaxValuePairs)
       .select(col("v"),
         (lit(1.0) / (col("cnt1") * col("cnt2"))) as "w")
     vals(kb1, 1).join(weights, "v")
@@ -55,17 +54,20 @@ object ParisLite {
       .agg(sum(log(lit(1.0) - least(col("w"), lit(0.99)))) as "logNot")
   }
 
-  /** Relation functionality: fun(r) = |distinct subjects| / |instances|. */
-  private def functionality(kb: DataFrame): DataFrame =
-    KBModel.relationTriples(kb).select("subj", "pred", "objId").distinct()
-      .groupBy("pred")
-      .agg((countDistinct("subj") / count(lit(1))) as "fun", count(lit(1)) as "inst")
+  /** Relation functionality fun(r) = |distinct subjects| / |instances|,
+    * from the KB's [[KBModel.summary]]. Output: (p<side>, fun<side>, inst<side>).
+    */
+  private def functionality(spark: SparkSession, s: KBModel.KBSummary, side: Int): DataFrame =
+    spark.createDataFrame(s.relations.toSeq.map { case (p, c) =>
+      (p, c.subjects.toDouble / c.instances, c.instances) })
+      .toDF(s"p$side", s"fun$side", s"inst$side")
 
   /** One propagation round: evidence for (x, y) from matched neighbor pairs
     * reached through relation pairs aligned by the current matches.
     */
   private def relationEvidence(
       kb1: DataFrame, kb2: DataFrame,
+      fun1: DataFrame, fun2: DataFrame,
       matches: DataFrame): DataFrame = {
     val r1 = KBModel.relationTriples(kb1).select(col("subj") as "x", col("pred") as "p1", col("objId") as "nx").distinct()
     val r2 = KBModel.relationTriples(kb2).select(col("subj") as "y", col("pred") as "p2", col("objId") as "ny").distinct()
@@ -77,9 +79,7 @@ object ParisLite {
       .join(r2, "y")
       .join(m.select(col("e1") as "nx", col("e2") as "ny"), Seq("nx", "ny"), "left_semi")
     val alignCounts = joint.groupBy("p1", "p2").agg(count(lit(1)) as "joint")
-    val f1 = functionality(kb1).select(col("pred") as "p1", col("fun") as "fun1", col("inst") as "inst1")
-    val f2 = functionality(kb2).select(col("pred") as "p2", col("fun") as "fun2", col("inst") as "inst2")
-    val align = alignCounts.join(f1, "p1").join(f2, "p2")
+    val align = alignCounts.join(fun1, "p1").join(fun2, "p2")
       .select(col("p1"), col("p2"),
         least(lit(1.0), col("joint") / least(col("inst1"), col("inst2"))) as "align",
         col("fun1"), col("fun2"))
@@ -96,23 +96,24 @@ object ParisLite {
   }
 
   /** Run PARIS-lite; returns matches (e1, e2). */
-  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame,
-          cfg: Config = Config()): DataFrame = {
+  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame): DataFrame = {
     import spark.implicits._
-    val lit0 = literalEvidence(kb1, kb2, cfg).cache()
+    val lit0 = literalEvidence(kb1, kb2).cache()
     lit0.count()
+    val fun1 = functionality(spark, KBModel.summary(kb1), 1)
+    val fun2 = functionality(spark, KBModel.summary(kb2), 2)
 
     def accept(evidence: DataFrame): Seq[(Long, Long)] = {
       val probs = evidence.select(col("e1"), col("e2"),
         (lit(1.0) - exp(col("logNot"))) as "score")
       UniqueMappingClustering.cluster(
-        UniqueMappingClustering.collectCandidates(probs, cfg.capPerEntity),
-        cfg.acceptThreshold)
+        UniqueMappingClustering.collectCandidates(probs, CapPerEntity),
+        AcceptThreshold)
     }
 
     var matches = accept(lit0).toDF("e1", "e2").cache()
-    for (_ <- 1 to cfg.iterations) {
-      val rel = relationEvidence(kb1, kb2, matches)
+    for (_ <- 1 to Iterations) {
+      val rel = relationEvidence(kb1, kb2, fun1, fun2, matches)
       val combined = lit0
         .unionByName(rel)
         .groupBy("e1", "e2")

@@ -9,15 +9,16 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * aligned relation pair are matched, the remaining pair is matched too.
   */
 object RimomLite {
+  private val ValueWeight = 0.6
+  private val Threshold = 0.42
+
   def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame,
-          relAlignment: Map[String, String],
-          valueWeight: Double = 0.6,
-          threshold: Double = 0.42): DataFrame = {
+          relAlignment: Map[String, String]): DataFrame = {
     val aligned = relAlignment.toSet
     val compat: IterativeMatcher.RelCompat =
       (p1, p2) => if (aligned((p1, p2))) 1.0 else 0.0
     IterativeMatcher.run(spark, kb1, kb2,
-      IterativeMatcher.IterConfig(valueWeight, threshold, compat,
+      IterativeMatcher.IterConfig(ValueWeight, Threshold, compat,
         siblingCompletion = true))
   }
 }

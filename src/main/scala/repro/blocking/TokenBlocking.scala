@@ -13,7 +13,7 @@ import org.apache.spark.sql.functions._
   * cardinalities in ascending order and stops where cumulative comparisons
   * start to grow proportionally faster than cumulative block assignments.
   * Deviation: this implementation uses an iterated 10×-mean heuristic
-  * instead (see [[purgeMaxComparisons]]), with the same intent of cutting
+  * instead (see [[purgedBlocks]]), with the same intent of cutting
   * the stop-word tail.
   */
 object TokenBlocking {
@@ -34,21 +34,6 @@ object TokenBlocking {
       .withColumn("comparisons", col("ef1") * col("ef2"))
   }
 
-  /** The Block Purging cardinality threshold.
-    *
-    * Robust iterated-mean criterion with the same intent as the
-    * comparison-based Block Purging the paper adopts via [26, 27]: a
-    * stop-word block suggests orders of magnitude more comparisons than the
-    * typical content-token block, so we repeatedly drop blocks whose
-    * comparison cardinality exceeds `factor ×` the mean cardinality of the
-    * retained blocks, until a fixpoint. Uniform distributions are left
-    * untouched (threshold ≥ factor × mean); heavy tails are cut at the
-    * stop-word knee. Distinct cardinalities are few, so the aggregates are
-    * collected to the driver.
-    */
-  def purgeMaxComparisons(blocks: DataFrame, factor: Double = 10.0): Long =
-    thresholdOf(histogram(blocks), factor)
-
   /** (comparisons, number of blocks) per distinct block cardinality,
     * ascending, collected to the driver.
     */
@@ -60,7 +45,9 @@ object TokenBlocking {
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))
 
-  private def thresholdOf(byCard: Array[(Long, Long)], factor: Double): Long = {
+  private val PurgeFactor = 10.0
+
+  private def thresholdOf(byCard: Array[(Long, Long)]): Long = {
     if (byCard.isEmpty) return 0L
     var threshold = Long.MaxValue
     var changed = true
@@ -69,7 +56,7 @@ object TokenBlocking {
       val kept = byCard.filter(_._1 <= threshold)
       val nBlocks = kept.map(_._2).sum
       val totalComp = kept.map { case (c, n) => c.toDouble * n }.sum
-      val next = math.max(factor, factor * totalComp / math.max(1L, nBlocks)).toLong
+      val next = math.max(PurgeFactor, PurgeFactor * totalComp / math.max(1L, nBlocks)).toLong
       changed = next < threshold
       threshold = if (changed) next else threshold
       iter += 1
@@ -79,11 +66,21 @@ object TokenBlocking {
 
   /** Apply Block Purging; returns the retained blocks (over the cached
     * input) plus stats, counted from the cardinality histogram.
+    *
+    * The cardinality threshold is a robust iterated-mean criterion with
+    * the same intent as the comparison-based Block Purging the paper adopts
+    * via [26, 27]: a stop-word block suggests orders of magnitude more
+    * comparisons than the typical content-token block, so we repeatedly
+    * drop blocks whose comparison cardinality exceeds `PurgeFactor ×` the
+    * mean cardinality of the retained blocks, until a fixpoint. Uniform
+    * distributions are left untouched (threshold ≥ PurgeFactor × mean);
+    * heavy tails are cut at the stop-word knee. Distinct cardinalities are
+    * few, so the aggregates are collected to the driver.
     */
-  def purgedBlocks(blocksIn: DataFrame, factor: Double = 10.0): (DataFrame, PurgeStats) = {
+  def purgedBlocks(blocksIn: DataFrame): (DataFrame, PurgeStats) = {
     val blocks = blocksIn.cache()
     val byCard = histogram(blocks)
-    val maxC = thresholdOf(byCard, factor)
+    val maxC = thresholdOf(byCard)
     val keptN = byCard.collect { case (c, n) if c <= maxC => n }.sum
     val total = byCard.map(_._2).sum
     (blocks.filter(col("comparisons") <= maxC), PurgeStats(maxC, keptN, total - keptN))

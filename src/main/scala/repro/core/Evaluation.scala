@@ -63,6 +63,7 @@ object Evaluation {
     val returned = m.count()
     val truthSize = t.count()
     val tp = m.join(t, Seq("e1", "e2"), "left_semi").count()
+    m.unpersist(); t.unpersist()
     val p = if (returned == 0) 0.0 else tp.toDouble / returned
     val r = if (truthSize == 0) 0.0 else tp.toDouble / truthSize
     val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)

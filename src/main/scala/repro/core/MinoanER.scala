@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.blocking.PreparedPair
 import repro.graph.{BlockingGraph, DisjunctiveBlockingGraph}
@@ -37,51 +36,43 @@ object MinoanER {
   def resolve(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfig = MinoanERConfig()): DataFrame =
     resolveVariant(kb1, kb2, cfg, Variant.Full)
 
-  /** Resolve with an explicit rule selection (Table-4 ablations). */
+  /** Resolve with an explicit rule selection (Table-4 ablations). The
+    * result reads only checkpointed data, so `p`'s caches are released.
+    */
   def resolveVariant(
       kb1: DataFrame, kb2: DataFrame,
       cfg: MinoanERConfig,
       variant: Variant): DataFrame = {
     val p = PreparedPair(kb1, kb2, cfg)
-    matchGraph(BlockingGraph.build(p).materialize(), p, variant)
+    val m = matchGraph(BlockingGraph.build(p).materialize(), p, variant)
+    p.unpersist()
+    m
   }
 
-  /** Run Algorithm 2 over a pre-built graph of `p` (shared across ablations). */
+  /** Run Algorithm 2 over a materialized graph of `p` (shared across
+    * ablations). R1's matches are the checkpointed α edges; R2 and R3 each
+    * add theirs with truncated lineage — the match set is tiny, its plan
+    * deep — mirroring the paper's broadcast of intermediate matches (§4.1).
+    * Every rule excludes the entities matched before it, so the unions are
+    * disjoint.
+    */
   def matchGraph(
       g: DisjunctiveBlockingGraph,
       p: PreparedPair,
       variant: Variant = Variant.Full): DataFrame = {
-    val e1 = KBModel.entities(p.kb1).cache()
+    val e1 = KBModel.entities(p.kb1)
     val smaller =
       if (p.summary1.entities <= p.summary2.entities) e1 else KBModel.entities(p.kb2)
 
-    val empty = emptyMatches(p.kb1)
-    var m: DataFrame = empty
-    var matched: DataFrame = MatchingRules.matchedEntities(m)
-
-    // each rule's output is materialized with truncated lineage: the match
-    // set is tiny, while its plan (windows over the full graph) is deep —
-    // mirrors the paper's broadcast of intermediate matches (§4.1)
-    if (variant.useR1) {
-      m = m.union(MatchingRules.r1(g)).distinct().localCheckpoint(true)
-      matched = MatchingRules.matchedEntities(m).localCheckpoint(true)
-    }
-    if (variant.useR2) {
-      m = m.union(MatchingRules.r2(g, smaller, e1, matched)).distinct().localCheckpoint(true)
-      matched = MatchingRules.matchedEntities(m).localCheckpoint(true)
-    }
-    if (variant.useR3) {
-      m = m.union(MatchingRules.r3(g, p.cfg.theta, e1, matched, variant.useNeighbors))
-        .distinct().localCheckpoint(true)
-    }
+    val r1 = MatchingRules.r1(g)
+    var m = if (variant.useR1) r1 else r1.limit(0) // empty, with R1's schema
+    if (variant.useR2)
+      m = m.union(MatchingRules.r2(g, smaller, e1, MatchingRules.matchedEntities(m)))
+        .localCheckpoint(true)
+    if (variant.useR3)
+      m = m.union(MatchingRules.r3(g, p.cfg.theta, e1, MatchingRules.matchedEntities(m),
+        variant.useNeighbors)).localCheckpoint(true)
     if (variant.useR4) m = MatchingRules.r4(g, m)
     m.select("e1", "e2").distinct()
-  }
-
-  private def emptyMatches(kb1: DataFrame): DataFrame = {
-    val spark = kb1.sparkSession
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(StructField("e1", LongType), StructField("e2", LongType))))
   }
 }

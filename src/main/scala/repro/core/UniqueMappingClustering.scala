@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -44,19 +44,9 @@ object UniqueMappingClustering {
     */
   def collectCandidates(
       scored: DataFrame,
-      capPerEntity: Int = 50): Seq[(Long, Long, Double)] = {
-    val w1 = Window.partitionBy("e1").orderBy(col("score").desc, col("e2"))
-    val w2 = Window.partitionBy("e2").orderBy(col("score").desc, col("e1"))
-    scored
-      .filter(col("score") > 0)
-      .withColumn("r1", row_number().over(w1))
-      .withColumn("r2", row_number().over(w2))
-      .filter(col("r1") <= capPerEntity || col("r2") <= capPerEntity)
-      .select("e1", "e2", "score")
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-      .toSeq
-  }
+      capPerEntity: Int = 50): Seq[(Long, Long, Double)] =
+    collectCandidatesMulti(scored, Seq("score"), capPerEntity)
+      .map { case (a, b, s) => (a, b, s(0)) }
 
   /** Multi-score variant: collect (e1, e2, scores[]) for several score
     * columns at once; the per-entity cap windows use the max score across
@@ -67,7 +57,7 @@ object UniqueMappingClustering {
       scored: DataFrame,
       scoreCols: Seq[String],
       capPerEntity: Int = 50): Seq[(Long, Long, Array[Double])] = {
-    val best = greatest(scoreCols.map(col): _*)
+    val best = scoreCols.map(col).reduce(greatest(_, _))
     val w1 = Window.partitionBy("e1").orderBy(best.desc, col("e2"))
     val w2 = Window.partitionBy("e2").orderBy(best.desc, col("e1"))
     scored
@@ -80,13 +70,5 @@ object UniqueMappingClustering {
       .map(r => (r.getLong(0), r.getLong(1),
         scoreCols.indices.map(i => r.getDouble(2 + i)).toArray))
       .toSeq
-  }
-
-  /** DataFrame wrapper: cluster scored pairs and return matches (e1, e2). */
-  def clusterDf(spark: SparkSession, scored: DataFrame, threshold: Double,
-                capPerEntity: Int = 50): DataFrame = {
-    import spark.implicits._
-    cluster(collectCandidates(scored, capPerEntity), threshold)
-      .toDF("e1", "e2")
   }
 }

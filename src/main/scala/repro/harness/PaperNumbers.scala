@@ -1,12 +1,10 @@
 package repro.harness
 
 /** The paper's published numbers (Tables 1–4), keyed by the analogue
-  * profile name, for side-by-side reporting in benches and EXPERIMENTS.md.
+  * profile name, for side-by-side reporting in benches and jobs.
   * Triples are (precision, recall, f1) in percent; None = not reported.
   */
 object PaperNumbers {
-
-  val datasets = Seq("restaurant-lite", "rexa-dblp-lite", "bbcmusic-dbpedia-lite", "yago-imdb-lite")
 
   // ---- Table 1 (dataset statistics of the REAL benchmarks) ----
   final case class T1(e1: Long, e2: Long, t1: Long, t2: Long,

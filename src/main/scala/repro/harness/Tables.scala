@@ -10,7 +10,7 @@ import repro.baselines._
 
 /** Builds the paper's evaluation tables (paper numbers vs measured) over
   * the synthetic dataset analogues. Shared by the `jobs/` entrypoints and
-  * the `bench/` suites; `EXPERIMENTS.md` records the rendered output.
+  * the `bench/` suites.
   */
 object Tables {
 
@@ -142,8 +142,10 @@ object Tables {
              cfg: MinoanERConfig = MinoanERConfig()): Seq[(String, Scores)] = {
     val p = PreparedPair(b.kb1, b.kb2, cfg)
     val g = repro.graph.BlockingGraph.build(p).materialize()
-    table4Variants.map { case (name, v) =>
+    val rows = table4Variants.map { case (name, v) =>
       name -> Evaluation.scoreRestricted(MinoanER.matchGraph(g, p, v), b.truth)
     }
+    p.unpersist()
+    rows
   }
 }

@@ -88,12 +88,4 @@ object KBModel {
     */
   def harmonicMean(support: Double, discriminability: Double): Double =
     2.0 * support * discriminability / (support + discriminability)
-
-  /** `relations(e)` of the paper: distinct (entity, pred) with entity objects. */
-  def entityRelations(kb: DataFrame): DataFrame =
-    relationTriples(kb).select(col("subj") as "entity", col("pred")).distinct()
-
-  /** `neighbors(e)` of the paper: distinct (entity, neighbor) pairs. */
-  def entityNeighbors(kb: DataFrame): DataFrame =
-    relationTriples(kb).select(col("subj") as "entity", col("objId") as "neighbor").distinct()
 }

@@ -31,13 +31,6 @@ object NameDiscovery {
         support, discriminability, KBModel.harmonicMean(support, discriminability))
     }
 
-  /** Per-attribute statistics over the literal triples of one KB.
-    * Output: (pred, subjects, instances, objects, support, discriminability,
-    * importance).
-    */
-  def attributeScores(kb: DataFrame): DataFrame =
-    kb.sparkSession.createDataFrame(scores(KBModel.summary(kb)))
-
   /** Importance descending, then pred in Spark's (UTF-8 byte) string order. */
   private val byImportance: Ordering[AttributeScore] = (a, b) => {
     val c = java.lang.Double.compare(b.importance, a.importance)
@@ -47,9 +40,6 @@ object NameDiscovery {
   /** The k globally most important literal attributes of the KB
     * (deterministic tie-break on pred).
     */
-  def nameAttributes(kb: DataFrame, k: Int): Seq[String] =
-    nameAttributes(KBModel.summary(kb), k)
-
   def nameAttributes(s: KBSummary, k: Int): Seq[String] =
     scores(s).sorted(byImportance).take(k).map(_.pred)
 

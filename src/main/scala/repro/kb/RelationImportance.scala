@@ -36,12 +36,6 @@ object RelationImportance {
     }
   }
 
-  /** Per-relation statistics of one KB.
-    * Output: (pred, instances, objects, support, discriminability, importance).
-    */
-  def relationScores(kb: DataFrame): DataFrame =
-    kb.sparkSession.createDataFrame(scores(KBModel.summary(kb)))
-
   /** Adds each row's relation `importance`, looked up in a driver-side map,
     * and `relRank`: the dense rank of its pred among the entity's relations
     * by (importance desc, pred). All rows of one (entity, pred) share a
@@ -55,21 +49,10 @@ object RelationImportance {
       .withColumn("relRank", dense_rank().over(w))
   }
 
-  /** Per-entity top-N relations by global importance.
-    * Output: (entity, pred, importance, relRank). Ties broken by pred for
-    * determinism.
-    */
-  def topNRelations(kb: DataFrame, n: Int): DataFrame =
-    ranked(KBModel.entityRelations(kb), KBModel.summary(kb))
-      .filter(col("relRank") <= n)
-      .select("entity", "pred", "importance", "relRank")
-
   /** `topNneighbors(e)`: distinct neighbors reachable via the entity's
-    * top-N relations. Output: (entity, neighbor).
+    * top-N relations by global importance (ties broken by pred).
+    * Output: (entity, neighbor).
     */
-  def topNeighbors(kb: DataFrame, n: Int): DataFrame =
-    topNeighbors(kb, KBModel.summary(kb), n)
-
   def topNeighbors(kb: DataFrame, s: KBSummary, n: Int): DataFrame = {
     val triples = KBModel.relationTriples(kb)
       .select(col("subj") as "entity", col("pred"), col("objId") as "neighbor")

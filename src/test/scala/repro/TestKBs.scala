@@ -46,6 +46,21 @@ object TestKBs {
       .toDF("id1", "id2")
   }
 
+  /** Count and digest of a match set: the first 8 bytes (hex) of the
+    * SHA-256 of its pairs sorted by (e1, e2), one "e1,e2" per line. A
+    * refactor that must keep a match set keeps both.
+    */
+  def pin(pairs: Seq[(Long, Long)]): (Int, String) = {
+    val lines = pairs.sorted.map { case (a, b) => s"$a,$b" }.mkString("\n")
+    val digest = java.security.MessageDigest.getInstance("SHA-256")
+      .digest(lines.getBytes("UTF-8")).take(8).map("%02x".format(_)).mkString
+    (pairs.length, digest)
+  }
+
+  /** The (e1, e2) pairs of a match frame. */
+  def pairs(matches: DataFrame): Seq[(Long, Long)] =
+    matches.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+
   /** A fast generator profile for end-to-end unit tests (SF≈0.01-scale). */
   val tinyProfile: KBProfile = DatasetProfile.restaurantLite.copy(
     name = "tiny",

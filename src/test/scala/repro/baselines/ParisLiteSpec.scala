@@ -80,6 +80,11 @@ class ParisLiteSpec extends SparkSpec {
     assert(m.map(_._2).distinct.length === m.length)
   }
 
+  test("tiny profile: PARIS-lite keeps its match set") {
+    val g = WebKBGen.generate(spark, TestKBs.tinyProfile)
+    assert(TestKBs.pin(TestKBs.pairs(ParisLite.run(spark, g.kb1, g.kb2))) === ((46, "6035ca282f7650d4")))
+  }
+
   test("empty KBs produce no matches") {
     val kb1 = KBModel.fromRows(spark, Seq((1L, "a", "x", None)))
     val kb2 = KBModel.fromRows(spark, Seq((101L, "b", "y", None)))

@@ -36,8 +36,8 @@ class TokenBlockingSpec extends SparkSpec {
   test("purgeMaxComparisons keeps everything for uniform block sizes") {
     val uniform = spark.range(10).selectExpr(
       "cast(id as string) as token", "2L as ef1", "3L as ef2", "6L as comparisons")
-    assert(TokenBlocking.purgeMaxComparisons(uniform) >= 6L)
     val (kept, stats) = TokenBlocking.purgedBlocks(uniform)
+    assert(stats.maxComparisons >= 6L)
     assert(kept.count() === 10)
     assert(stats.keptBlocks === 10)
     assert(stats.purgedBlocks === 0)
@@ -48,7 +48,7 @@ class TokenBlockingSpec extends SparkSpec {
     // 50 small blocks of 1 comparison, one huge block of 100k comparisons
     val rows = (1 to 50).map(i => (s"t$i", 1L, 1L, 1L)) :+ (("stop", 200L, 500L, 100000L))
     val blocks = rows.toDF("token", "ef1", "ef2", "comparisons")
-    val thr = TokenBlocking.purgeMaxComparisons(blocks)
+    val thr = TokenBlocking.purgedBlocks(blocks)._2.maxComparisons
     assert(thr < 100000L)
   }
 

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.storage.StorageLevel
+
 import repro.SparkSpec
 
 class EvaluationSpec extends SparkSpec {
@@ -84,6 +86,14 @@ class EvaluationSpec extends SparkSpec {
     val b = Evaluation.scoreRestricted(df(matches: _*), truth(t.toSeq: _*))
     assert(a.returned === b.returned)
     assert(a.truePositives === b.truePositives)
+  }
+
+  test("score releases the frames it caches") {
+    val m = df(1L -> 101L, 2L -> 103L)
+    val t = truth(1L -> 101L)
+    Evaluation.score(m, t)
+    assert(m.select("e1", "e2").distinct().storageLevel === StorageLevel.NONE)
+    assert(t.selectExpr("id1 as e1", "id2 as e2").distinct().storageLevel === StorageLevel.NONE)
   }
 
   test("pct renders percent triple") {

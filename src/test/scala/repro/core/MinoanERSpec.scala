@@ -1,11 +1,14 @@
 package repro.core
 
-import java.security.MessageDigest
-
 import org.apache.spark.JobCounter
+import org.apache.spark.storage.StorageLevel
 
 import repro.{SparkSpec, TestKBs}
+import repro.blocking.PreparedPair
 import repro.data.{DatasetProfile, WebKBGen}
+import repro.graph.BlockingGraph
+import repro.harness.Tables
+import repro.kb.{KBModel, Tokenizer}
 
 class MinoanERSpec extends SparkSpec {
 
@@ -87,20 +90,45 @@ class MinoanERSpec extends SparkSpec {
     assert(s.f1 > 0.5, s"scores: ${s.pct}")
   }
 
+  private lazy val restaurant1 = {
+    val g = WebKBGen.generate(spark, DatasetProfile.restaurantLite.copy(seed = 1))
+    g.kb1.cache().count(); g.kb2.cache().count(); g
+  }
+
   test("restaurant-lite (seed 1): resolve keeps its match set and its Spark job budget") {
     // performance refactors must keep this match set exactly, and must not
     // raise the fixed Spark cost of one resolve above this many jobs
-    val g = WebKBGen.generate(spark, DatasetProfile.restaurantLite.copy(seed = 1))
-    g.kb1.cache().count(); g.kb2.cache().count()
+    val g = restaurant1
     val (pairs, jobs) = JobCounter(spark.sparkContext) {
       MinoanER.resolve(g.kb1, g.kb2).collect().map(r => (r.getLong(0), r.getLong(1)))
     }
-    val lines = pairs.sorted.map { case (a, b) => s"$a,$b" }.mkString("\n")
-    val digest = MessageDigest.getInstance("SHA-256").digest(lines.getBytes("UTF-8"))
-      .take(8).map("%02x".format(_)).mkString
-    assert(pairs.length === 639)
+    val (count, digest) = TestKBs.pin(pairs.toSeq)
+    assert(count === 639)
     assert(digest === "239e7b682b601628")
     info(s"Spark jobs of one resolve: $jobs")
-    assert(jobs <= 94L, s"$jobs Spark jobs")
+    assert(jobs <= 90L, s"$jobs Spark jobs")
+  }
+
+  test("restaurant-lite (seed 1): every Table-4 variant keeps its match set") {
+    val p = PreparedPair(restaurant1.kb1, restaurant1.kb2, MinoanERConfig())
+    val graph = BlockingGraph.build(p).materialize()
+    val got = Tables.table4Variants.map { case (name, v) =>
+      name -> TestKBs.pin(TestKBs.pairs(MinoanER.matchGraph(graph, p, v)))
+    }
+    p.unpersist()
+    // captured before the cascade was shortened
+    assert(got === Seq(
+      "R1" -> ((99, "1bdf8cf4bb3e5219")),
+      "R2" -> ((265, "2c43c57e5fc6cb91")),
+      "R3" -> ((1345, "18169a1217fb647c")),
+      "NoR4" -> ((663, "d0bcffa676ea827e")),
+      "NoNeighbors" -> ((291, "d5c6f55f4b1ab13c"))))
+  }
+
+  test("resolve releases every frame it caches") {
+    val g = WebKBGen.generate(spark, TestKBs.tinyProfile.copy(seed = 13))
+    MinoanER.resolve(g.kb1, g.kb2).collect()
+    assert(Tokenizer.entityTokens(g.kb1).storageLevel === StorageLevel.NONE)
+    assert(KBModel.entities(g.kb1).storageLevel === StorageLevel.NONE)
   }
 }

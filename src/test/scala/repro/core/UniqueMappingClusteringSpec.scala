@@ -76,12 +76,4 @@ class UniqueMappingClusteringSpec extends SparkSpec {
     val c = UniqueMappingClustering.collectCandidates(scored)
     assert(c.map(p => (p._1, p._2)) === Seq((2L, 102L)))
   }
-
-  test("clusterDf returns a DataFrame of matches") {
-    import spark.implicits._
-    val scored = Seq((1L, 101L, 0.9), (2L, 101L, 0.8)).toDF("e1", "e2", "score")
-    val m = UniqueMappingClustering.clusterDf(spark, scored, 0.1).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(m === Set((1L, 101L)))
-  }
 }

@@ -65,16 +65,16 @@ class WebKBGenSpec extends SparkSpec {
   }
 
   test("name discovery ranks the generator's primary label attribute first") {
-    val attrs1 = NameDiscovery.nameAttributes(g.kb1, 2)
+    val attrs1 = NameDiscovery.nameAttributes(KBModel.summary(g.kb1), 2)
     assert(attrs1.head === g.nameAttrs1.head, s"discovered: $attrs1")
-    val attrs2 = NameDiscovery.nameAttributes(g.kb2, 2)
+    val attrs2 = NameDiscovery.nameAttributes(KBModel.summary(g.kb2), 2)
     assert(attrs2.head === g.nameAttrs2.head, s"discovered: $attrs2")
   }
 
   test("important relations outrank junk relations in importance") {
     val het = WebKBGen.generate(spark, TestKBs.tinyHeterogeneous)
-    val scores = RelationImportance.relationScores(het.kb2).collect()
-      .map(r => r.getString(0) -> r.getAs[Double]("importance")).toMap
+    val scores = RelationImportance.scores(KBModel.summary(het.kb2))
+      .map(r => r.pred -> r.importance).toMap
     val important = (0 until TestKBs.tinyHeterogeneous.importantRels)
       .map(i => WebKBGen.relName(TestKBs.tinyHeterogeneous, 2, i))
       .filter(scores.contains)

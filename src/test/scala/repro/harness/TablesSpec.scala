@@ -1,7 +1,10 @@
 package repro.harness
 
+import org.apache.spark.storage.StorageLevel
+
 import repro.{SparkSpec, TestKBs}
 import repro.blocking.BlockStats
+import repro.kb.Tokenizer
 
 class TablesSpec extends SparkSpec {
 
@@ -53,6 +56,9 @@ class TablesSpec extends SparkSpec {
     val rows = Tables.table4(spark, bundle)
     assert(rows.map(_._1) === Seq("R1", "R2", "R3", "NoR4", "NoNeighbors"))
     assert(rows.forall(_._2.truthSize === TestKBs.tinyProfile.nMatches))
+    // the prepared pair's caches are released
+    assert(Tokenizer.entityTokens(bundle.kb1).storageLevel === StorageLevel.NONE)
+    assert(Tokenizer.entityTokens(bundle.kb2).storageLevel === StorageLevel.NONE)
   }
 
   test("renderScoresTable shows dashes for unreported paper cells") {

@@ -24,24 +24,6 @@ class KBModelSpec extends SparkSpec {
     assert(KBModel.summary(kb1).entities === 4)
   }
 
-  test("entityRelations matches the paper's relations(e) example shape") {
-    val rels = KBModel.entityRelations(kb1).collect()
-      .map(r => (r.getLong(0), r.getString(1))).toSet
-    assert(rels === Set(
-      (TestKBs.Restaurant1, "hasChef"),
-      (TestKBs.Restaurant1, "territorial"),
-      (TestKBs.Restaurant1, "inCountry")))
-  }
-
-  test("entityNeighbors matches the paper's neighbors(e) example") {
-    val nb = KBModel.entityNeighbors(kb1).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(nb === Set(
-      (TestKBs.Restaurant1, TestKBs.JohnLakeA),
-      (TestKBs.Restaurant1, TestKBs.Bray),
-      (TestKBs.Restaurant1, TestKBs.UK)))
-  }
-
   test("fromRows round-trips objId nullability") {
     val kb = KBModel.fromRows(spark, Seq(
       (1L, "p", "v", None), (1L, "r", "ref:2", Some(2L))))
@@ -94,11 +76,12 @@ class KBModelSpec extends SparkSpec {
 
   test("an empty KB has an empty summary and no names, scores or neighbors") {
     val empty = KBModel.fromRows(spark, Seq.empty)
-    assert(KBModel.summary(empty) === KBModel.KBSummary(0, Map.empty, Map.empty))
-    assert(NameDiscovery.nameAttributes(empty, 2).isEmpty)
+    val s = KBModel.summary(empty)
+    assert(s === KBModel.KBSummary(0, Map.empty, Map.empty))
+    assert(NameDiscovery.nameAttributes(s, 2).isEmpty)
     assert(NameDiscovery.names(empty, 2).count() === 0)
-    assert(NameDiscovery.attributeScores(empty).count() === 0)
-    assert(RelationImportance.relationScores(empty).count() === 0)
+    assert(NameDiscovery.scores(s).isEmpty)
+    assert(RelationImportance.scores(s).isEmpty)
     assert(RelationImportance.topInNeighbors(empty, 3).count() === 0)
   }
 
@@ -106,7 +89,7 @@ class KBModelSpec extends SparkSpec {
     val s = KBModel.summary(noRelations)
     assert(s.entities === 2 && s.relations.isEmpty)
     assert(NameDiscovery.names(noRelations, s, 2).count() === 2)
-    assert(RelationImportance.relationScores(noRelations).count() === 0)
+    assert(RelationImportance.scores(s).isEmpty)
     assert(RelationImportance.topInNeighbors(noRelations, s, 3).count() === 0)
   }
 
@@ -119,7 +102,7 @@ class KBModelSpec extends SparkSpec {
   }
 
   test("fewer literal attributes than k yields all of them as name attributes") {
-    assert(NameDiscovery.nameAttributes(noRelations, 5) === Seq("label"))
+    assert(NameDiscovery.nameAttributes(KBModel.summary(noRelations), 5) === Seq("label"))
     assert(NameDiscovery.names(noRelations, 5).count() === 2)
   }
 }

@@ -7,6 +7,11 @@ class NameDiscoverySpec extends SparkSpec {
   /** 4 entities: "label" on all with unique values; "cat" on all with 2
     * distinct values; "rare" on one entity.
     */
+  private def attrs(kb: org.apache.spark.sql.DataFrame, k: Int) =
+    NameDiscovery.nameAttributes(KBModel.summary(kb), k)
+
+  private def scores = spark.createDataFrame(NameDiscovery.scores(KBModel.summary(kb)))
+
   private lazy val kb = KBModel.fromRows(spark, Seq(
     (1L, "label", "alpha one", None),
     (2L, "label", "beta two", None),
@@ -20,14 +25,14 @@ class NameDiscoverySpec extends SparkSpec {
   ))
 
   test("attribute support follows |subjects(p)| / |E|") {
-    val s = NameDiscovery.attributeScores(kb).collect()
+    val s = scores.collect()
       .map(r => r.getString(0) -> r.getAs[Double]("support")).toMap
     assert(math.abs(s("label") - 1.0) < 1e-12)
     assert(math.abs(s("rare") - 0.25) < 1e-12)
   }
 
   test("attribute discriminability follows |objects| / |instances|") {
-    val s = NameDiscovery.attributeScores(kb).collect()
+    val s = scores.collect()
       .map(r => r.getString(0) -> r.getAs[Double]("discriminability")).toMap
     assert(math.abs(s("label") - 1.0) < 1e-12)
     assert(math.abs(s("cat") - 0.5) < 1e-12)
@@ -36,19 +41,19 @@ class NameDiscoverySpec extends SparkSpec {
   test("attribute subject counts agree with the DuckDB oracle") {
     val lits = KBModel.literals(kb).select("subj", "pred", "obj").distinct()
     Oracle.assertEquivalent(
-      NameDiscovery.attributeScores(kb)
+      scores
         .selectExpr("pred", "cast(subjects as string) as subjects"),
       "SELECT pred, cast(count(distinct subj) as varchar) as subjects FROM lits GROUP BY pred",
       "lits" -> lits)
   }
 
   test("the top name attribute is the high-support high-discriminability one") {
-    assert(NameDiscovery.nameAttributes(kb, 1) === Seq("label"))
+    assert(attrs(kb, 1) === Seq("label"))
   }
 
   test("k controls how many name attributes are returned") {
-    assert(NameDiscovery.nameAttributes(kb, 2).size === 2)
-    assert(NameDiscovery.nameAttributes(kb, 2).head === "label")
+    assert(attrs(kb, 2).size === 2)
+    assert(attrs(kb, 2).head === "label")
   }
 
   test("names are normalized literal values of the name attributes") {
@@ -65,8 +70,8 @@ class NameDiscoverySpec extends SparkSpec {
   }
 
   test("figure-1 KBs: both sides discover their label/name attribute first") {
-    assert(NameDiscovery.nameAttributes(TestKBs.kb1(spark), 1) === Seq("label"))
-    assert(NameDiscovery.nameAttributes(TestKBs.kb2(spark), 1) === Seq("name"))
+    assert(attrs(TestKBs.kb1(spark), 1) === Seq("label"))
+    assert(attrs(TestKBs.kb2(spark), 1) === Seq("name"))
   }
 
   test("figure-1: JohnLakeA and JonnyLake share the normalized name jlake") {

@@ -1,5 +1,8 @@
 package repro.kb
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+
 import repro.{Oracle, SparkSpec, TestKBs}
 
 class RelationImportanceSpec extends SparkSpec {
@@ -17,8 +20,19 @@ class RelationImportanceSpec extends SparkSpec {
     (9L, "label", "hub node", None),
   ))
 
-  private def scores = RelationImportance.relationScores(kb).collect()
+  private def relationScores(kb: DataFrame) =
+    spark.createDataFrame(RelationImportance.scores(KBModel.summary(kb)))
+
+  private def scores = relationScores(kb).collect()
     .map(r => r.getString(0) -> r).toMap
+
+  private def topNeighbors(kb: DataFrame, n: Int) =
+    RelationImportance.topNeighbors(kb, KBModel.summary(kb), n)
+
+  /** (entity, neighbor) of the KB's triples of relation `pred`. */
+  private def neighborsVia(pred: String): Set[(Long, Long)] =
+    KBModel.relationTriples(kb).filter(col("pred") === pred).collect()
+      .map(r => (r.getAs[Long]("subj"), r.getAs[Long]("objId"))).toSet
 
   test("support follows Definition 2.2 (instances / |E|^2)") {
     val n = KBModel.summary(kb).entities.toDouble // 4 entities: 1,2,3,9
@@ -46,14 +60,14 @@ class RelationImportanceSpec extends SparkSpec {
       (1L, "p", "ref:2", Some(2L)),
       (1L, "p", "ref:2", Some(2L)),
       (2L, "label", "x", None)))
-    val r = RelationImportance.relationScores(dup).collect().head
+    val r = relationScores(dup).collect().head
     assert(r.getAs[Long]("instances") === 1)
   }
 
   test("relation instance counts agree with the DuckDB oracle") {
     val inst = KBModel.relationTriples(kb).select("subj", "pred", "objId").distinct()
     Oracle.assertEquivalent(
-      RelationImportance.relationScores(kb)
+      relationScores(kb)
         .selectExpr("pred", "cast(instances as string) as instances",
                     "cast(objects as string) as objects"),
       """SELECT pred, cast(count(*) as varchar) as instances,
@@ -63,25 +77,27 @@ class RelationImportanceSpec extends SparkSpec {
   }
 
   test("topNRelations keeps the N globally best relations per entity") {
-    val top = RelationImportance.topNRelations(kb, 1).collect()
-      .map(r => (r.getLong(0), r.getString(1))).toSet
-    assert(top === Set((1L, "good"), (2L, "good"), (3L, "good")))
+    // with N = 1 every entity reaches exactly the neighbors of "good"
+    val top = topNeighbors(kb, 1).collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSet
+    assert(top === neighborsVia("good"))
+    assert(top.map(_._1) === Set(1L, 2L, 3L))
   }
 
   test("topNRelations with large N returns all relations of the entity") {
-    val top = RelationImportance.topNRelations(kb, 10)
-      .filter("entity = 1").collect().map(_.getString(1)).toSet
-    assert(top === Set("good", "hub"))
+    val top = topNeighbors(kb, 10)
+      .filter("entity = 1").collect().map(r => (1L, r.getLong(1))).toSet
+    assert(top === (neighborsVia("good") ++ neighborsVia("hub")).filter(_._1 == 1L))
   }
 
   test("topNeighbors resolves the objects of the top relations") {
-    val nb = RelationImportance.topNeighbors(kb, 1).collect()
+    val nb = topNeighbors(kb, 1).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(nb === Set((1L, 2L), (2L, 3L), (3L, 9L)))
   }
 
   test("topInNeighbors is the exact reverse of topNeighbors") {
-    val fwd = RelationImportance.topNeighbors(kb, 2).collect()
+    val fwd = topNeighbors(kb, 2).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     val rev = RelationImportance.topInNeighbors(kb, 2).collect()
       .map(r => (r.getLong(1), r.getLong(0))).toSet
@@ -90,7 +106,7 @@ class RelationImportanceSpec extends SparkSpec {
 
   test("figure-1 KB1: Restaurant1's top-2 neighbors exclude the weakest relation") {
     val kb1 = TestKBs.kb1(spark)
-    val nb = RelationImportance.topNeighbors(kb1, 2)
+    val nb = topNeighbors(kb1, 2)
       .filter(s"entity = ${TestKBs.Restaurant1}")
       .collect().map(_.getLong(1)).toSet
     assert(nb.size === 2)
@@ -98,7 +114,7 @@ class RelationImportanceSpec extends SparkSpec {
   }
 
   test("entity with no relations yields no top neighbors") {
-    val nb = RelationImportance.topNeighbors(kb, 3).filter("entity = 9").count()
+    val nb = topNeighbors(kb, 3).filter("entity = 9").count()
     assert(nb === 0)
   }
 }
