@@ -34,14 +34,12 @@ object IterativeMatcher {
       valueWeight: Double,       // θ
       threshold: Double,         // stop when best score drops below this
       relCompat: RelCompat,
-      seedFromNames: Boolean = true,
       /** RiMOM-IM heuristic: if all but one neighbor pair of a matched pair
         * (via compatible relations) are matched, match the remaining pair.
         */
       siblingCompletion: Boolean = false)
 
   private val CapPerEntity = 30
-  private val MaxAccepted = 2000000
 
   /** Normalized edit similarity of relation names (LINDA-style compat). */
   def editSimilarity(a: String, b: String): Double = {
@@ -87,10 +85,7 @@ object IterativeMatcher {
 
     val p = PreparedPair(kb1, kb2, MinoanERConfig())
     val values = UniqueMappingClustering.collectCandidates(valueScores(p), CapPerEntity)
-    val seeds: Seq[(Long, Long)] =
-      if (cfg.seedFromNames)
-        nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-      else Seq.empty
+    val seeds = nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1)))
     p.unpersist()
 
     val adj1 = adjacency(kb1)
@@ -173,7 +168,7 @@ object IterativeMatcher {
       if (s >= cfg.threshold) pq.enqueue(Entry(s, a, b))
     }
 
-    while (pq.nonEmpty && accepted.size < MaxAccepted) {
+    while (pq.nonEmpty) {
       val e = pq.dequeue()
       if (!matched1.contains(e.a) && !matched2.contains(e.b)) {
         val fresh = score(e.a, e.b)

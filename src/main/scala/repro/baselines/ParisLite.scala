@@ -111,15 +111,16 @@ object ParisLite {
         AcceptThreshold)
     }
 
-    var matches = accept(lit0).toDF("e1", "e2").cache()
+    var matches = accept(lit0).toDF("e1", "e2")
     for (_ <- 1 to Iterations) {
       val rel = relationEvidence(kb1, kb2, fun1, fun2, matches)
       val combined = lit0
         .unionByName(rel)
         .groupBy("e1", "e2")
         .agg(sum("logNot") as "logNot")
-      matches = accept(combined).toDF("e1", "e2").cache()
+      matches = accept(combined).toDF("e1", "e2")
     }
+    lit0.unpersist()
     matches
   }
 }

@@ -14,12 +14,13 @@ object NameBlocking {
   /** Shared name blocks: (name, cnt1, cnt2, comparisons) for names present
     * in both KBs.
     *
-    * @param names1 (entity, name) of KB1 — from [[repro.kb.NameDiscovery.names]]
-    * @param names2 (entity, name) of KB2
+    * @param names1 (entity, name) of KB1, distinct, so rows count entities —
+    *               from [[repro.kb.NameDiscovery.names]]
+    * @param names2 (entity, name) of KB2, distinct
     */
   def sharedNameBlocks(names1: DataFrame, names2: DataFrame): DataFrame = {
-    val c1 = names1.groupBy("name").agg(countDistinct("entity") as "cnt1")
-    val c2 = names2.groupBy("name").agg(countDistinct("entity") as "cnt2")
+    val c1 = names1.groupBy("name").agg(count(lit(1)) as "cnt1")
+    val c2 = names2.groupBy("name").agg(count(lit(1)) as "cnt2")
     c1.join(c2, "name").withColumn("comparisons", col("cnt1") * col("cnt2"))
   }
 

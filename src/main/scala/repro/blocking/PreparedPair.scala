@@ -16,12 +16,11 @@ import TokenBlocking.PurgeStats
   * baselines all read them from here.
   *
   * Everything is lazy, so a consumer pays only for what it reads. The
-  * inputs, the entity tokens and the shared token blocks are cached (the
-  * latter by Block Purging); [[unpersist]] releases the last two.
+  * caller caches `kb1` and `kb2`, which most artifacts read. The entity
+  * tokens and the shared token blocks are cached here (the latter by Block
+  * Purging); [[unpersist]] releases them.
   */
 final case class PreparedPair(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfig) {
-  kb1.cache(); kb2.cache()
-
   lazy val summary1: KBSummary = KBModel.summary(kb1)
   lazy val summary2: KBSummary = KBModel.summary(kb2)
 
@@ -56,7 +55,7 @@ final case class PreparedPair(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfi
   lazy val inNeighbors1: DataFrame = RelationImportance.topInNeighbors(kb1, summary1, cfg.n)
   lazy val inNeighbors2: DataFrame = RelationImportance.topInNeighbors(kb2, summary2, cfg.n)
 
-  /** Release the cached tokens and token blocks; the inputs stay cached. */
+  /** Release the cached tokens and token blocks. */
   def unpersist(): Unit = {
     tokens1.unpersist(); tokens2.unpersist(); sharedBlocks.unpersist()
   }

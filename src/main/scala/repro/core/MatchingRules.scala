@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.graph.DisjunctiveBlockingGraph
+import repro.graph.{BlockingGraph, DisjunctiveBlockingGraph}
 
 /** The four schema-agnostic matching rules of Algorithm 2.
   *
@@ -15,18 +15,21 @@ import repro.graph.DisjunctiveBlockingGraph
   */
 object MatchingRules {
 
-  /** Single-column frame of all entities appearing in `matches`. */
+  /** Single-column frame of all entities appearing in `matches`, with
+    * repeats: the rules read it only through anti-joins.
+    */
   def matchedEntities(matches: DataFrame): DataFrame =
     matches.select(col("e1") as "entity")
       .union(matches.select(col("e2") as "entity"))
-      .distinct()
 
   private def exclude(df: DataFrame, onCol: String, matched: DataFrame): DataFrame =
     df.join(broadcast(matched.select(col("entity") as onCol)), Seq(onCol), "left_anti")
 
-  /** R1 — Name Matching Rule: match every α = 1 edge (1×1 name blocks). */
+  /** R1 — Name Matching Rule: match every α = 1 edge (1×1 name blocks).
+    * The α edges are already distinct.
+    */
   def r1(g: DisjunctiveBlockingGraph): DataFrame =
-    g.alphaEdges.select("e1", "e2").distinct()
+    g.alphaEdges.select("e1", "e2")
 
   /** R2 — Value Matching Rule: for every unmatched entity of the smaller
     * KB, take its top-β candidate; match if β ≥ 1 and the candidate is
@@ -47,12 +50,14 @@ object MatchingRules {
     val top = cand.withColumn("rn", row_number().over(w))
       .filter(col("rn") === 1 && col("beta") >= 1.0)
       .select("src", "dst")
-    orient(top, kb1Entities)
+    BlockingGraph.orient(top, kb1Entities)
   }
 
   /** R3 — Rank Aggregation Matching Rule: θ-weighted fusion of the
     * normalized ranks of each node's β and γ candidate lists; match the
-    * top-scoring candidate. Runs over unmatched nodes of both KBs.
+    * top-scoring candidate. Runs over unmatched nodes of both KBs, so two
+    * entities that choose each other give one pair twice; the output is
+    * distinct.
     */
   def r3(
       g: DisjunctiveBlockingGraph,
@@ -83,7 +88,7 @@ object MatchingRules {
     val top = agg.withColumn("rn", row_number().over(w))
       .filter(col("rn") === 1)
       .select("src", "dst")
-    orient(top, kb1Entities).distinct()
+    BlockingGraph.orient(top, kb1Entities).distinct()
   }
 
   /** R4 — Reciprocity Matching Rule: keep (e1, e2) only if both directed
@@ -94,15 +99,5 @@ object MatchingRules {
     matches
       .join(dir.select(col("src") as "e1", col("dst") as "e2"), Seq("e1", "e2"), "left_semi")
       .join(dir.select(col("dst") as "e1", col("src") as "e2"), Seq("e1", "e2"), "left_semi")
-  }
-
-  /** Orient directed (src, dst) pairs as (e1 ∈ KB1, e2 ∈ KB2). */
-  def orient(pairs: DataFrame, kb1Entities: DataFrame): DataFrame = {
-    val e1Ids = broadcast(kb1Entities.select(col("entity") as "src"))
-    val asIs = pairs.join(e1Ids, "src")
-      .select(col("src") as "e1", col("dst") as "e2")
-    val flipped = pairs.join(e1Ids, Seq("src"), "left_anti")
-      .select(col("dst") as "e1", col("src") as "e2")
-    asIs.union(flipped)
   }
 }

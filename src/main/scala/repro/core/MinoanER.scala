@@ -32,7 +32,9 @@ object MinoanER {
     val NoNeighbors: Variant = Variant(useNeighbors = false)
   }
 
-  /** Resolve two clean KBs end-to-end: build the graph, run the rules. */
+  /** Resolve two clean KBs end-to-end: build the graph, run the rules.
+    * The caller caches `kb1` and `kb2` (each is read by several jobs).
+    */
   def resolve(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfig = MinoanERConfig()): DataFrame =
     resolveVariant(kb1, kb2, cfg, Variant.Full)
 
@@ -44,17 +46,17 @@ object MinoanER {
       cfg: MinoanERConfig,
       variant: Variant): DataFrame = {
     val p = PreparedPair(kb1, kb2, cfg)
-    val m = matchGraph(BlockingGraph.build(p).materialize(), p, variant)
+    val m = matchGraph(BlockingGraph.build(p), p, variant)
     p.unpersist()
     m
   }
 
-  /** Run Algorithm 2 over a materialized graph of `p` (shared across
-    * ablations). R1's matches are the checkpointed α edges; R2 and R3 each
-    * add theirs with truncated lineage — the match set is tiny, its plan
-    * deep — mirroring the paper's broadcast of intermediate matches (§4.1).
-    * Every rule excludes the entities matched before it, so the unions are
-    * disjoint.
+  /** Run Algorithm 2 over a graph of `p` (shared across ablations). R1's
+    * matches are the checkpointed α edges; R2 and R3 each add theirs with
+    * truncated lineage — the match set is tiny, its plan deep — mirroring
+    * the paper's broadcast of intermediate matches (§4.1). Each rule
+    * returns distinct pairs and excludes the entities matched before it,
+    * so the unions are disjoint and the result is distinct.
     */
   def matchGraph(
       g: DisjunctiveBlockingGraph,
@@ -73,6 +75,6 @@ object MinoanER {
       m = m.union(MatchingRules.r3(g, p.cfg.theta, e1, MatchingRules.matchedEntities(m),
         variant.useNeighbors)).localCheckpoint(true)
     if (variant.useR4) m = MatchingRules.r4(g, m)
-    m.select("e1", "e2").distinct()
+    m.select("e1", "e2")
   }
 }

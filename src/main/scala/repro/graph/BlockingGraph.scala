@@ -13,8 +13,8 @@ import repro.blocking.{NameBlocking, PreparedPair}
   * model — the paper §3.3 likewise materializes only inverted-index-derived
   * tables):
   *
-  *  - `alphaEdges`    (e1, e2): 1×1 name-block pairs. Name evidence is
-  *                    undirected; both directions are implied.
+  *  - `alphaEdges`    (e1, e2): 1×1 name-block pairs, distinct. Name
+  *                    evidence is undirected; both directions are implied.
   *  - `valueEdges`    (src, dst, beta, rank): per node, the top-K out-edges
   *                    by β (rank 1 = best). Contains edges in both
   *                    directions (src ∈ E1 and src ∈ E2).
@@ -26,27 +26,14 @@ final case class DisjunctiveBlockingGraph(
     neighborEdges: DataFrame) {
 
   /** All directed edges of the pruned graph (for the reciprocity rule R4).
-    * Output: (src, dst), distinct.
+    * Output: (src, dst), with an edge carrying several evidence types
+    * listed once per type: R4 reads it only through semi-joins.
     */
-  def directedEdges: DataFrame = {
-    val a = alphaEdges.select(col("e1") as "src", col("e2") as "dst")
+  def directedEdges: DataFrame =
+    alphaEdges.select(col("e1") as "src", col("e2") as "dst")
       .union(alphaEdges.select(col("e2") as "src", col("e1") as "dst"))
-    a.union(valueEdges.select("src", "dst"))
+      .union(valueEdges.select("src", "dst"))
       .union(neighborEdges.select("src", "dst"))
-      .distinct()
-  }
-
-  /** Materialize the three edge frames and truncate their lineage
-    * (eager localCheckpoint). The graph construction plan is deep (token
-    * explosion → purging → three-way join → windows → γ propagation →
-    * windows); re-analyzing it for every downstream action dominates
-    * wall-clock time on the driver, so the pipeline cuts it here once.
-    */
-  def materialize(): DisjunctiveBlockingGraph =
-    DisjunctiveBlockingGraph(
-      alphaEdges.localCheckpoint(true),
-      valueEdges.localCheckpoint(true),
-      neighborEdges.localCheckpoint(true))
 }
 
 object BlockingGraph {
@@ -67,39 +54,53 @@ object BlockingGraph {
       .filter(col("rank") <= k)
   }
 
+  /** Undo [[topKDirected]]'s direction: orient directed (src, dst) pairs as
+    * (e1 ∈ KB1, e2 ∈ KB2, keep…). One broadcast left join flags the
+    * sources in KB1; every pair is kept, once.
+    *
+    * @param kb1Entities entities of KB1, column `entity`, distinct
+    */
+  def orient(pairs: DataFrame, kb1Entities: DataFrame, keep: String*): DataFrame = {
+    val fromKB1 = col("fromKB1").isNotNull
+    pairs
+      .join(broadcast(kb1Entities.select(col("entity") as "src", lit(true) as "fromKB1")),
+        Seq("src"), "left")
+      .select(Seq(
+        when(fromKB1, col("src")).otherwise(col("dst")) as "e1",
+        when(fromKB1, col("dst")).otherwise(col("src")) as "e2") ++ keep.map(col): _*)
+  }
+
   /** Build the pruned disjunctive blocking graph of a prepared KB pair
     * (Algorithm 1).
     *
     * All three evidence types are computed from cheap inverted indices:
     * name blocks (α), purged token blocks (β), and the reversed top-N
-    * neighbor lists applied to the retained β edges (γ).
+    * neighbor lists applied to the retained β edges (γ). Each edge frame
+    * is materialized where it is made, with its lineage truncated (eager
+    * localCheckpoint): the construction plans are deep (token explosion →
+    * purging → three-way join → windows → γ propagation → windows), and
+    * re-analyzing them for every rule would dominate the driver's time.
+    * γ reads the checkpointed value edges.
     */
   def build(p: PreparedPair): DisjunctiveBlockingGraph = {
     // ---- Name evidence (Alg 1 lines 5-9) ----
-    val alpha = NameBlocking.alphaEdges(p.names1, p.names2)
+    val alpha = NameBlocking.alphaEdges(p.names1, p.names2).localCheckpoint(true)
 
     // ---- Value evidence (Alg 1 lines 10-19) ----
-    val valueEdges = topKDirected(p.betaPairs, "beta", p.cfg.bigK).cache()
+    val valueEdges = topKDirected(p.betaPairs, "beta", p.cfg.bigK).localCheckpoint(true)
 
     // ---- Neighbor evidence (Alg 1 lines 20-33) ----
-    // Undirected retained β pairs: union of both directions, deduplicated,
-    // oriented back to (e1 ∈ KB1, e2 ∈ KB2) via the edge's origin.
     val retained = retainedBetaPairs(valueEdges, p.kb1)
     val gamma = NeighborSimilarity.gammaPairs(retained, p.inNeighbors1, p.inNeighbors2)
-    val neighborEdges = topKDirected(gamma, "gamma", p.cfg.bigK)
+    val neighborEdges = topKDirected(gamma, "gamma", p.cfg.bigK).localCheckpoint(true)
 
     DisjunctiveBlockingGraph(alpha, valueEdges, neighborEdges)
   }
 
   /** Re-orient the directed, pruned value edges into distinct undirected
-    * pairs (e1 ∈ KB1, e2 ∈ KB2, beta).
+    * pairs (e1 ∈ KB1, e2 ∈ KB2, beta): the union of both pruning
+    * directions.
     */
-  def retainedBetaPairs(valueEdges: DataFrame, kb1: DataFrame): DataFrame = {
-    val e1Ids = broadcast(KBModel.entities(kb1).select(col("entity") as "src"))
-    val fromE1 = valueEdges.join(e1Ids, "src")
-      .select(col("src") as "e1", col("dst") as "e2", col("beta"))
-    val fromE2 = valueEdges.join(e1Ids, Seq("src"), "left_anti")
-      .select(col("dst") as "e1", col("src") as "e2", col("beta"))
-    fromE1.union(fromE2).distinct()
-  }
+  def retainedBetaPairs(valueEdges: DataFrame, kb1: DataFrame): DataFrame =
+    orient(valueEdges, KBModel.entities(kb1), "beta").distinct()
 }

@@ -141,7 +141,7 @@ object Tables {
   def table4(spark: SparkSession, b: Bundle,
              cfg: MinoanERConfig = MinoanERConfig()): Seq[(String, Scores)] = {
     val p = PreparedPair(b.kb1, b.kb2, cfg)
-    val g = repro.graph.BlockingGraph.build(p).materialize()
+    val g = repro.graph.BlockingGraph.build(p)
     val rows = table4Variants.map { case (name, v) =>
       name -> Evaluation.scoreRestricted(MinoanER.matchGraph(g, p, v), b.truth)
     }

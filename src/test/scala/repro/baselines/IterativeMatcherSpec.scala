@@ -64,9 +64,10 @@ class IterativeMatcherSpec extends SparkSpec {
   test("a high threshold suppresses low-value matches") {
     val compat: IterativeMatcher.RelCompat = (_, _) => 0.0
     val m = IterativeMatcher.run(spark, TestKBs.kb1(spark), TestKBs.kb2(spark),
-      IterativeMatcher.IterConfig(valueWeight = 1.0, threshold = 0.99,
-        relCompat = compat, seedFromNames = false))
-    assert(m.count() === 0)
+      IterativeMatcher.IterConfig(valueWeight = 1.0, threshold = 0.99, relCompat = compat))
+      .collect().map(r => (r.getLong(0), r.getLong(1)))
+    // only the name seed; no value score reaches the threshold
+    assert(m.toSeq === Seq((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
   }
 
   test("matches form a partial 1-1 mapping") {

@@ -85,6 +85,16 @@ class ParisLiteSpec extends SparkSpec {
     assert(TestKBs.pin(TestKBs.pairs(ParisLite.run(spark, g.kb1, g.kb2))) === ((46, "6035ca282f7650d4")))
   }
 
+  test("run releases every frame it caches") {
+    val g = WebKBGen.generate(spark, TestKBs.tinyProfile.copy(seed = 17))
+    g.kb1.cache().count(); g.kb2.cache().count()
+    // by id: the context cleaner may drop earlier suites' RDDs meanwhile
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    ParisLite.run(spark, g.kb1, g.kb2).collect()
+    assert((spark.sparkContext.getPersistentRDDs.keySet -- before).isEmpty)
+    g.kb1.unpersist(); g.kb2.unpersist()
+  }
+
   test("empty KBs produce no matches") {
     val kb1 = KBModel.fromRows(spark, Seq((1L, "a", "x", None)))
     val kb2 = KBModel.fromRows(spark, Seq((101L, "b", "y", None)))

@@ -57,7 +57,7 @@ class PreparedPairSpec extends SparkSpec {
     assert(p.purge === TokenBlocking.PurgeStats(0, 0, 0))
     assert(p.betaPairs.count() === 0)
     assert(p.inNeighbors1.count() === 2)
-    val g = BlockingGraph.build(p).materialize()
+    val g = BlockingGraph.build(p)
     assert(g.directedEdges.count() === 0)
     assert(MinoanER.matchGraph(g, p).count() === 0)
     p.unpersist()

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestKBs}
-import repro.graph.DisjunctiveBlockingGraph
+import repro.graph.{BlockingGraph, DisjunctiveBlockingGraph}
 
 class MatchingRulesSpec extends SparkSpec {
 
@@ -126,6 +126,8 @@ class MatchingRulesSpec extends SparkSpec {
     val g = DisjunctiveBlockingGraph(emptyAlpha,
       edges((1L, 101L, 0.5), (101L, 1L, 0.5)), gedges())
     val m = MatchingRules.r3(g, theta = 0.6, ents(1L), noMatches)
+    // 1 and 101 choose each other: one pair, not two
+    assert(m.count() === 1)
     assert(collectPairs(m) === Set((1L, 101L)))
   }
 
@@ -155,7 +157,7 @@ class MatchingRulesSpec extends SparkSpec {
 
   test("orient maps src-side membership correctly") {
     val pairs = Seq((1L, 101L), (102L, 2L)).toDF("src", "dst")
-    val o = collectPairs(MatchingRules.orient(pairs, ents(1L, 2L)))
+    val o = collectPairs(BlockingGraph.orient(pairs, ents(1L, 2L)))
     assert(o === Set((1L, 101L), (2L, 102L)))
   }
 
