@@ -100,8 +100,8 @@ object ParisLite {
     import spark.implicits._
     val lit0 = literalEvidence(kb1, kb2).cache()
     lit0.count()
-    val fun1 = functionality(spark, KBModel.summary(kb1), 1)
-    val fun2 = functionality(spark, KBModel.summary(kb2), 2)
+    val Seq(fun1, fun2) = KBModel.summaries(kb1, kb2).zip(1 to 2)
+      .map { case (s, side) => functionality(spark, s, side) }
 
     def accept(evidence: DataFrame): Seq[(Long, Long)] = {
       val probs = evidence.select(col("e1"), col("e2"),

@@ -18,23 +18,18 @@ object NameBlocking {
     *               from [[repro.kb.NameDiscovery.names]]
     * @param names2 (entity, name) of KB2, distinct
     */
-  def sharedNameBlocks(names1: DataFrame, names2: DataFrame): DataFrame = {
-    val c1 = names1.groupBy("name").agg(count(lit(1)) as "cnt1")
-    val c2 = names2.groupBy("name").agg(count(lit(1)) as "cnt2")
-    c1.join(c2, "name").withColumn("comparisons", col("cnt1") * col("cnt2"))
-  }
+  def sharedNameBlocks(names1: DataFrame, names2: DataFrame): DataFrame =
+    TokenBlocking.sharedBlocks(names1, names2, "name", "cnt")
 
   /** α = 1 edges: pairs from 1×1 name blocks. Output: (e1, e2), distinct.
     * A pair of entities sharing several unique names is still one edge.
+    * The block sizes and each KB's entity come from one aggregation.
     */
-  def alphaEdges(names1: DataFrame, names2: DataFrame): DataFrame = {
-    val unique = sharedNameBlocks(names1, names2)
+  def alphaEdges(names1: DataFrame, names2: DataFrame): DataFrame =
+    TokenBlocking.sharedBlocks(names1, names2, "name", "cnt",
+        max(when(col("kb") === 1, col("entity"))) as "e1",
+        max(when(col("kb") === 2, col("entity"))) as "e2")
       .filter(col("cnt1") === 1 && col("cnt2") === 1)
-      .select("name")
-    names1.join(broadcast(unique), "name")
-      .select(col("entity") as "e1", col("name"))
-      .join(names2.select(col("entity") as "e2", col("name")), "name")
       .select("e1", "e2")
       .distinct()
-  }
 }

@@ -21,8 +21,7 @@ import TokenBlocking.PurgeStats
   * Purging); [[unpersist]] releases them.
   */
 final case class PreparedPair(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfig) {
-  lazy val summary1: KBSummary = KBModel.summary(kb1)
-  lazy val summary2: KBSummary = KBModel.summary(kb2)
+  lazy val Seq(summary1: KBSummary, summary2: KBSummary) = KBModel.summaries(kb1, kb2)
 
   /** (entity, name) of each KB. */
   lazy val names1: DataFrame = NameDiscovery.names(kb1, summary1, cfg.k)

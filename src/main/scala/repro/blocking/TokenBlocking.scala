@@ -1,6 +1,6 @@
 package repro.blocking
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Token blocking h_T (paper §3.1) with Block Purging.
@@ -23,16 +23,28 @@ object TokenBlocking {
 
   /** Shared token blocks across the two KBs.
     *
-    * @param et1 (entity, token) of KB1 — from [[repro.kb.Tokenizer.entityTokens]]
-    * @param et2 (entity, token) of KB2
-    * @return (token, ef1, ef2, comparisons) for every token present in both
+    * @param et1 (entity, token) of KB1, distinct — from [[repro.kb.Tokenizer.entityTokens]]
+    * @param et2 (entity, token) of KB2, distinct
+    * @return (token, ef1, ef2, comparisons) for every token present in both;
+    *         EF(t) is the number of the KB's entities containing t
     */
-  def sharedTokenBlocks(et1: DataFrame, et2: DataFrame): DataFrame = {
-    val ef1 = repro.kb.Tokenizer.entityFrequency(et1).withColumnRenamed("ef", "ef1")
-    val ef2 = repro.kb.Tokenizer.entityFrequency(et2).withColumnRenamed("ef", "ef2")
-    ef1.join(ef2, "token")
-      .withColumn("comparisons", col("ef1") * col("ef2"))
-  }
+  def sharedTokenBlocks(et1: DataFrame, et2: DataFrame): DataFrame =
+    sharedBlocks(et1, et2, "token", "ef")
+
+  /** Blocks keyed by `key` that both KBs share, from one aggregation over
+    * both KBs' distinct (entity, key) rows tagged with their `kb` (1 or 2),
+    * so each input is read once: `<n>1`/`<n>2` count each KB's entities,
+    * `comparisons` is their product, `more` are further aggregates.
+    */
+  private[blocking] def sharedBlocks(
+      rows1: DataFrame, rows2: DataFrame, key: String, n: String, more: Column*): DataFrame =
+    rows1.select(col(key), col("entity"), lit(1) as "kb")
+      .union(rows2.select(col(key), col("entity"), lit(2) as "kb"))
+      .groupBy(key)
+      .agg(count(when(col("kb") === 1, 1)) as s"${n}1",
+        (count(when(col("kb") === 2, 1)) as s"${n}2") +: more: _*)
+      .filter(col(s"${n}1") > 0 && col(s"${n}2") > 0)
+      .withColumn("comparisons", col(s"${n}1") * col(s"${n}2"))
 
   /** (comparisons, number of blocks) per distinct block cardinality,
     * ascending, collected to the driver.

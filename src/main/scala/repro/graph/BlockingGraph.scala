@@ -40,16 +40,18 @@ object BlockingGraph {
 
   /** Directed top-K pruning of symmetric weighted pairs (paper §3.3): every
     * undirected edge is considered as two directed ones and each node keeps
-    * its K best out-edges.
+    * its K best out-edges (ties broken by `dst`). Each pair row yields both
+    * directions, so `pairs` is evaluated once.
     *
     * @param pairs (e1, e2, w) with e1 ∈ KB1, e2 ∈ KB2
     * @return (src, dst, w, rank) — both directions, rank per src
     */
   def topKDirected(pairs: DataFrame, weightCol: String, k: Int): DataFrame = {
-    val out = pairs.select(col("e1") as "src", col("e2") as "dst", col(weightCol))
-    val in = pairs.select(col("e2") as "src", col("e1") as "dst", col(weightCol))
     val w = Window.partitionBy("src").orderBy(col(weightCol).desc, col("dst"))
-    out.union(in)
+    pairs
+      .select(inline(array(
+        struct(col("e1") as "src", col("e2") as "dst", col(weightCol)),
+        struct(col("e2") as "src", col("e1") as "dst", col(weightCol)))))
       .withColumn("rank", row_number().over(w))
       .filter(col("rank") <= k)
   }

@@ -57,30 +57,37 @@ object KBModel {
       attributes: Map[String, PredicateCounts],
       relations: Map[String, PredicateCounts])
 
-  /** [[KBSummary]] of a KB in one aggregation, collected to the driver
-    * (a KB has few predicates). Objects are literal values for attributes
-    * and neighbor ids for relations.
+  /** [[KBSummary]] of one KB: the one-KB case of [[summaries]]. */
+  def summary(kb: DataFrame): KBSummary = summaries(kb).head
+
+  /** [[KBSummary]] of each KB in one aggregation over all of them, grouped
+    * by KB and collected to the driver (a KB has few predicates). Objects
+    * are literal values for attributes and neighbor ids for relations.
     */
-  def summary(kb: DataFrame): KBSummary = {
+  def summaries(kbs: DataFrame*): Seq[KBSummary] = {
     val isRelation = col("objId").isNotNull
-    val rows = kb
-      .select(col("subj"), col("pred"), isRelation as "isRelation",
-        when(isRelation, col("objId").cast(StringType)).otherwise(col("obj")) as "value")
-      .groupingSets(Seq(Seq(col("pred"), col("isRelation")), Seq.empty),
-        col("pred"), col("isRelation"))
+    val rows = kbs.zipWithIndex.map { case (kb, i) =>
+        kb.select(lit(i) as "kb", col("subj"), col("pred"), isRelation as "isRelation",
+          when(isRelation, col("objId").cast(StringType)).otherwise(col("obj")) as "value")
+      }.reduce(_ union _)
+      .groupingSets(Seq(Seq(col("kb"), col("pred"), col("isRelation")), Seq(col("kb"))),
+        col("kb"), col("pred"), col("isRelation"))
       .agg(grouping_id() as "level",
         countDistinct("subj") as "subjects",
         countDistinct("subj", "value") as "instances",
         countDistinct("value") as "objects")
       .collect()
-    val (total, perPred) = rows.partition(_.getAs[Long]("level") != 0L)
-    def counts(relation: Boolean): Map[String, PredicateCounts] =
-      perPred.filter(_.getAs[Boolean]("isRelation") == relation).map { r =>
-        r.getAs[String]("pred") -> PredicateCounts(
-          r.getAs[Long]("subjects"), r.getAs[Long]("instances"), r.getAs[Long]("objects"))
-      }.toMap
-    KBSummary(total.headOption.fold(0L)(_.getAs[Long]("subjects")),
-      counts(relation = false), counts(relation = true))
+    kbs.indices.map { i =>
+      val (total, perPred) = rows.filter(_.getAs[Int]("kb") == i)
+        .partition(_.getAs[Long]("level") != 0L)
+      def counts(relation: Boolean): Map[String, PredicateCounts] =
+        perPred.filter(_.getAs[Boolean]("isRelation") == relation).map { r =>
+          r.getAs[String]("pred") -> PredicateCounts(
+            r.getAs[Long]("subjects"), r.getAs[Long]("instances"), r.getAs[Long]("objects"))
+        }.toMap
+      KBSummary(total.headOption.fold(0L)(_.getAs[Long]("subjects")),
+        counts(relation = false), counts(relation = true))
+    }
   }
 
   /** Harmonic mean of a predicate's support and discriminability: its

@@ -41,13 +41,6 @@ object Tokenizer {
       .filter(length(col("token")) > 0)
       .distinct()
 
-  /** Entity Frequency per token: EF(t) = #entities of the KB containing t.
-    * `entityTokens` is distinct (see [[entityTokens]]), so EF counts rows.
-    * Output: (token, ef).
-    */
-  def entityFrequency(entityTokens: DataFrame): DataFrame =
-    entityTokens.groupBy("token").agg(count(lit(1)) as "ef")
-
   /** Average number of (distinct) tokens per entity — the “av. tokens”
     * statistic of Table 1.
     */

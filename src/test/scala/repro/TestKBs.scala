@@ -1,6 +1,8 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.udf
+import org.apache.spark.util.LongAccumulator
 
 import repro.kb.KBModel
 import repro.data.{DatasetProfile, KBProfile}
@@ -55,6 +57,16 @@ object TestKBs {
     val digest = java.security.MessageDigest.getInstance("SHA-256")
       .digest(lines.getBytes("UTF-8")).take(8).map("%02x".format(_)).mkString
     (pairs.length, digest)
+  }
+
+  /** `df` behind a non-deterministic filter that counts every row Spark
+    * evaluates, and that count. A plan that reads `df` twice counts each of
+    * its rows twice.
+    */
+  def counted(df: DataFrame): (DataFrame, LongAccumulator) = {
+    val evaluated = df.sparkSession.sparkContext.longAccumulator
+    val count = udf { () => evaluated.add(1); true }.asNondeterministic()
+    (df.filter(count()), evaluated)
   }
 
   /** The (e1, e2) pairs of a match frame. */

@@ -51,6 +51,16 @@ class NameBlockingSpec extends SparkSpec {
     assert(a.contains((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
   }
 
+  test("alphaEdges reads each names frame once") {
+    def frame(rows: (Long, String)*) =
+      spark.sparkContext.parallelize(rows, 2).toDF("entity", "name")
+    val (n1, read1) = TestKBs.counted(frame(1L -> "u", 2L -> "s", 3L -> "s"))
+    val (n2, read2) = TestKBs.counted(frame(101L -> "u", 102L -> "s"))
+    val a = NameBlocking.alphaEdges(n1, n2).collect().map(r => (r.getLong(0), r.getLong(1)))
+    assert(a.toSeq === Seq((1L, 101L)))
+    assert((read1.value, read2.value) === ((3L, 2L)))
+  }
+
   test("a name shared by two KB1 entities never forms an alpha edge") {
     val a = NameBlocking.alphaEdges(
       names(1L -> "dup", 2L -> "dup"), names(101L -> "dup"))

@@ -1,7 +1,7 @@
 package repro.blocking
 
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestKBs}
+import repro.{Oracle, SparkSpec, TestKBs}
 import repro.kb.{KBModel, Tokenizer}
 
 class TokenBlockingSpec extends SparkSpec {
@@ -31,6 +31,39 @@ class TokenBlockingSpec extends SparkSpec {
     val r = blocks.filter("token = 'bray'").collect().head
     assert(r.getAs[Long]("ef1") === 2) // Restaurant1 comment + Bray
     assert(r.getAs[Long]("ef2") === 1) // Berkshire abstract
+  }
+
+  test("sharedTokenBlocks: ef1 and ef2 count each KB's entities per token") {
+    val blocks = TokenBlocking.sharedTokenBlocks(
+      et(TestKBs.kb1(spark)), et(TestKBs.kb2(spark)))
+    val ef = blocks.collect()
+      .map(r => r.getAs[String]("token") -> (r.getAs[Long]("ef1"), r.getAs[Long]("ef2"))).toMap
+    // "bray" appears in Restaurant1 (comment) and Bray (label+comment)
+    assert(ef("bray") === ((2L, 1L)))
+    assert(ef("fat") === ((1L, 1L)))
+  }
+
+  test("sharedTokenBlocks: ef1 and ef2 agree with the DuckDB oracle") {
+    val g = repro.data.WebKBGen.generate(spark, TestKBs.tinyProfile)
+    val (et1, et2) = (et(g.kb1), et(g.kb2))
+    Oracle.assertEquivalent(
+      TokenBlocking.sharedTokenBlocks(et1, et2)
+        .selectExpr("token", "cast(ef1 as string) as ef1", "cast(ef2 as string) as ef2"),
+      """SELECT a.token, cast(a.ef as varchar) as ef1, cast(b.ef as varchar) as ef2
+        |FROM (SELECT token, count(distinct entity) as ef FROM et1 GROUP BY token) a
+        |JOIN (SELECT token, count(distinct entity) as ef FROM et2 GROUP BY token) b
+        |  ON a.token = b.token""".stripMargin,
+      "et1" -> et1, "et2" -> et2)
+  }
+
+  test("sharedTokenBlocks reads each token frame once") {
+    import spark.implicits._
+    def tokens(rows: (Long, String)*) =
+      spark.sparkContext.parallelize(rows, 2).toDF("entity", "token")
+    val (et1, read1) = TestKBs.counted(tokens(1L -> "a", 2L -> "a", 3L -> "b"))
+    val (et2, read2) = TestKBs.counted(tokens(101L -> "a", 102L -> "c"))
+    assert(TokenBlocking.sharedTokenBlocks(et1, et2).count() === 1)
+    assert((read1.value, read2.value) === ((3L, 2L)))
   }
 
   test("purgeMaxComparisons keeps everything for uniform block sizes") {

@@ -1,5 +1,7 @@
 package repro.graph
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+
 import repro.{SparkSpec, TestKBs}
 import repro.blocking.PreparedPair
 import repro.core.MinoanERConfig
@@ -34,6 +36,38 @@ class BlockingGraphSpec extends SparkSpec {
     val pruned = BlockingGraph.topKDirected(pairs, "w", 5).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(pruned === Set((1L, 101L), (101L, 1L)))
+  }
+
+  test("topKDirected evaluates its input once") {
+    val rows = Seq((1L, 101L, 3.0), (1L, 102L, 2.0), (2L, 101L, 5.0))
+    val (pairs, evaluated) =
+      TestKBs.counted(spark.sparkContext.parallelize(rows, 2).toDF("e1", "e2", "w"))
+    assert(BlockingGraph.topKDirected(pairs, "w", 1).count() === 4)
+    assert(evaluated.value === 3L)
+  }
+
+  /** Directed top-K on the driver: both directions of every pair, ranked
+    * per src by (w desc, dst), ranks 1..K kept.
+    */
+  private def topKReference(pairs: Seq[(Long, Long, Double)], k: Int) =
+    pairs.flatMap { case (a, b, w) => Seq((a, b, w), (b, a, w)) }
+      .groupBy(_._1).values
+      .flatMap(_.sortBy { case (_, dst, w) => (-w, dst) }.zipWithIndex.collect {
+        case ((src, dst, w), i) if i < k => (src, dst, w, i + 1)
+      })
+      .toSet
+
+  test("topKDirected equals the driver-side directed top-K, ties included") {
+    // few distinct weights, so most nodes have tied out-edges
+    val pairsGen = Gen.listOf(Gen.zip(Gen.choose(1L, 6L), Gen.choose(101L, 106L),
+      Gen.oneOf(1.0, 2.0, 3.0))).map(_.distinctBy(p => (p._1, p._2)))
+    val prop = Prop.forAll(pairsGen, Gen.choose(1, 4)) { (pairs, k) =>
+      val got = BlockingGraph.topKDirected(pairs.toDF("e1", "e2", "w"), "w", k).collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).toSet
+      got == topKReference(pairs, k)
+    }
+    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(30), prop)
+    assert(result.passed, result.status)
   }
 
   test("figure-1 graph has the chef alpha edge") {

@@ -24,6 +24,14 @@ class KBModelSpec extends SparkSpec {
     assert(KBModel.summary(kb1).entities === 4)
   }
 
+  test("summaries of two KBs in one pass keep each KB's counts apart") {
+    // `part` shares every pred with kb1, so only the grouping by KB keeps them apart
+    val (kb2, part) = (TestKBs.kb2(spark), kb1.filter(s"subj != ${TestKBs.UK}"))
+    val all = KBModel.summaries(kb1, kb2, part)
+    assert(all === Seq(KBModel.summary(kb1), KBModel.summary(kb2), KBModel.summary(part)))
+    assert(all.map(_.entities) === Seq(4L, 3L, 3L))
+  }
+
   test("fromRows round-trips objId nullability") {
     val kb = KBModel.fromRows(spark, Seq(
       (1L, "p", "v", None), (1L, "r", "ref:2", Some(2L))))

@@ -1,6 +1,6 @@
 package repro.kb
 
-import repro.{Oracle, SparkSpec, TestKBs}
+import repro.{SparkSpec, TestKBs}
 
 class TokenizerSpec extends SparkSpec {
 
@@ -56,23 +56,6 @@ class TokenizerSpec extends SparkSpec {
       (1L, "a", "x x x", None), (1L, "b", "x", None)))
     val et = Tokenizer.entityTokens(kb).collect()
     assert(et.length === 1)
-  }
-
-  test("entityFrequency counts entities per token") {
-    val et = Tokenizer.entityTokens(TestKBs.kb1(spark))
-    val ef = Tokenizer.entityFrequency(et).collect()
-      .map(r => (r.getString(0), r.getLong(1))).toMap
-    // "bray" appears in Restaurant1 (comment) and Bray (label+comment)
-    assert(ef("bray") === 2)
-    assert(ef("fat") === 1)
-  }
-
-  test("entityFrequency agrees with the DuckDB oracle") {
-    val et = Tokenizer.entityTokens(TestKBs.kb2(spark))
-    Oracle.assertEquivalent(
-      Tokenizer.entityFrequency(et).selectExpr("token", "cast(ef as string) as ef"),
-      "SELECT token, cast(count(distinct entity) as varchar) as ef FROM et GROUP BY token",
-      "et" -> et)
   }
 
   test("averageTokens on figure-1 KB1") {
