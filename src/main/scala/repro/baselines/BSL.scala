@@ -152,7 +152,7 @@ object BSL {
         }
         // one Spark collect per weighting slice (all sim columns at once);
         // the UMC sweep over thresholds runs driver-side.
-        val collected = UniqueMappingClustering.collectCandidatesMulti(
+        val collected = UniqueMappingClustering.collectCandidates(
           sims, simCols.map(_._2), CapPerEntity)
         for (((sim, _), idx) <- simCols.zipWithIndex) {
           val scored = collected.map { case (a, b, ws) => (a, b, ws(idx)) }

@@ -30,6 +30,12 @@ object IterativeMatcher {
   /** Relation-compatibility oracle: weight in [0, 1] per relation pair. */
   type RelCompat = (String, String) => Double
 
+  /** 1 for a pair of the given relation alignment, 0 otherwise. */
+  def alignedCompat(relAlignment: Map[String, String]): RelCompat = {
+    val aligned = relAlignment.toSet
+    (p1, p2) => if (aligned((p1, p2))) 1.0 else 0.0
+  }
+
   final case class IterConfig(
       valueWeight: Double,       // θ
       threshold: Double,         // stop when best score drops below this
@@ -84,7 +90,9 @@ object IterativeMatcher {
     import spark.implicits._
 
     val p = PreparedPair(kb1, kb2, MinoanERConfig())
-    val values = UniqueMappingClustering.collectCandidates(valueScores(p), CapPerEntity)
+    val values = UniqueMappingClustering
+      .collectCandidates(valueScores(p), Seq("score"), CapPerEntity)
+      .map { case (a, b, s) => (a, b, s(0)) }
     val seeds = nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1)))
     p.unpersist()
 

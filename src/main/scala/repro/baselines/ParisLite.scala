@@ -107,7 +107,8 @@ object ParisLite {
       val probs = evidence.select(col("e1"), col("e2"),
         (lit(1.0) - exp(col("logNot"))) as "score")
       UniqueMappingClustering.cluster(
-        UniqueMappingClustering.collectCandidates(probs, CapPerEntity),
+        UniqueMappingClustering.collectCandidates(probs, Seq("score"), CapPerEntity)
+          .map { case (a, b, s) => (a, b, s(0)) },
         AcceptThreshold)
     }
 

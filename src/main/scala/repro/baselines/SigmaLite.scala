@@ -13,11 +13,8 @@ object SigmaLite {
   private val Threshold = 0.32
 
   def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame,
-          relAlignment: Map[String, String]): DataFrame = {
-    val aligned = relAlignment.toSet
-    val compat: IterativeMatcher.RelCompat =
-      (p1, p2) => if (aligned((p1, p2))) 1.0 else 0.0
+          relAlignment: Map[String, String]): DataFrame =
     IterativeMatcher.run(spark, kb1, kb2,
-      IterativeMatcher.IterConfig(ValueWeight, Threshold, compat))
-  }
+      IterativeMatcher.IterConfig(ValueWeight, Threshold,
+        IterativeMatcher.alignedCompat(relAlignment)))
 }

@@ -11,7 +11,7 @@ final case class Scores(precision: Double, recall: Double, f1: Double,
 
 object Evaluation {
 
-  /** Driver-side scoring for in-memory match sets (baseline sweeps). */
+  /** P/R/F1 of an in-memory match set (e1, e2) over the whole truth. */
   def scorePairs(matches: Seq[(Long, Long)], truthSet: Set[(Long, Long)]): Scores = {
     val m = matches.distinct
     val tp = m.count(truthSet)
@@ -37,36 +37,17 @@ object Evaluation {
     * This is the only reading consistent with the published Tables 3–4,
     * where the per-node argmax rules (R3, ¬R4) show precision = recall on
     * every dataset (returned ≈ one counted proposal per truth pair).
+    * Matches and truth are collected and scored in this JVM (two Spark jobs).
     */
-  def scoreRestricted(matches: DataFrame, truth: DataFrame): Scores = {
-    import org.apache.spark.sql.functions.col
-    val t1 = truth.select(col("id1") as "e1").distinct()
-    val t2 = truth.select(col("id2") as "e2").distinct()
-    val m = matches.select("e1", "e2").distinct()
-    val restricted = m.join(t1, Seq("e1"), "left_semi")
-      .join(t2, Seq("e2"), "left_semi")
-      .select("e1", "e2")
-    score(restricted, truth)
-  }
+  def scoreRestricted(matches: DataFrame, truth: DataFrame): Scores =
+    scorePairsRestricted(
+      matches.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq,
+      truthSet(truth))
 
-  /** Driver-side restricted scoring (see [[scoreRestricted]]). */
+  /** [[scoreRestricted]] over an in-memory match set. */
   def scorePairsRestricted(matches: Seq[(Long, Long)], truthSet: Set[(Long, Long)]): Scores = {
     val ids1 = truthSet.map(_._1)
     val ids2 = truthSet.map(_._2)
     scorePairs(matches.filter(p => ids1(p._1) && ids2(p._2)), truthSet)
-  }
-
-  /** Score a match set (e1, e2) against the truth (id1, id2). */
-  def score(matches: DataFrame, truth: DataFrame): Scores = {
-    val m = matches.select("e1", "e2").distinct().cache()
-    val t = truth.selectExpr("id1 as e1", "id2 as e2").distinct().cache()
-    val returned = m.count()
-    val truthSize = t.count()
-    val tp = m.join(t, Seq("e1", "e2"), "left_semi").count()
-    m.unpersist(); t.unpersist()
-    val p = if (returned == 0) 0.0 else tp.toDouble / returned
-    val r = if (truthSize == 0) 0.0 else tp.toDouble / truthSize
-    val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
-    Scores(p, r, f1, tp, returned, truthSize)
   }
 }

@@ -39,21 +39,13 @@ object UniqueMappingClustering {
     out.toSeq
   }
 
-  /** Collect scored pairs (e1, e2, score) with a per-entity cap, ready for
-    * [[cluster]]. Pairs with score ≤ 0 are dropped.
+  /** Collect scored pairs (e1, e2, scores[]) for one or more score
+    * columns at once, with a per-entity cap, ready for [[cluster]]. Pairs
+    * whose best score is ≤ 0 are dropped. The cap windows rank by the max
+    * score across columns (conservative — may keep extra rows, never drops
+    * a row that any single-column cap would keep).
     */
   def collectCandidates(
-      scored: DataFrame,
-      capPerEntity: Int = 50): Seq[(Long, Long, Double)] =
-    collectCandidatesMulti(scored, Seq("score"), capPerEntity)
-      .map { case (a, b, s) => (a, b, s(0)) }
-
-  /** Multi-score variant: collect (e1, e2, scores[]) for several score
-    * columns at once; the per-entity cap windows use the max score across
-    * columns (conservative — may keep extra rows, never drops a row that
-    * any single-column cap would keep).
-    */
-  def collectCandidatesMulti(
       scored: DataFrame,
       scoreCols: Seq[String],
       capPerEntity: Int = 50): Seq[(Long, Long, Array[Double])] = {

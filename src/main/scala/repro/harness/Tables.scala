@@ -4,13 +4,13 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.blocking.{BlockStatistics, BlockStats, PreparedPair}
 import repro.core._
-import repro.data.{DatasetProfile, KBProfile, WebKBGen}
+import repro.data.{KBProfile, WebKBGen}
 import repro.kb.{KBStatistics, KBStats}
 import repro.baselines._
 
 /** Builds the paper's evaluation tables (paper numbers vs measured) over
-  * the synthetic dataset analogues. Shared by the `jobs/` entrypoints and
-  * the `bench/` suites.
+  * the synthetic dataset analogues. Shared by the `jobs.Reproduce`
+  * entrypoint and the `bench/` suites.
   */
 object Tables {
 
@@ -58,8 +58,8 @@ object Tables {
 
   // ------------------------------------------------------------- Table 2
 
-  def table2(b: Bundle, cfg: MinoanERConfig = MinoanERConfig()): BlockStats = {
-    val p = PreparedPair(b.kb1, b.kb2, cfg)
+  def table2(b: Bundle): BlockStats = {
+    val p = PreparedPair(b.kb1, b.kb2, MinoanERConfig())
     val s = BlockStatistics.compute(p, b.truth)
     p.unpersist()
     s
@@ -89,31 +89,28 @@ object Tables {
     Seq("SiGMa", "LINDA", "RiMOM", "PARIS", "BSL", "MinoanER")
       .filter(s => PaperNumbers.table3(s).contains(profileName))
 
-  def runSystem(spark: SparkSession, b: Bundle, system: String,
-                cfg: MinoanERConfig = MinoanERConfig()): Scores = system match {
-    case "MinoanER" =>
-      Evaluation.scoreRestricted(MinoanER.resolve(b.kb1, b.kb2, cfg), b.truth)
+  /** The restricted P/R/F1 of one system on the bundle (BSL reports the
+    * best of its own grid sweep).
+    */
+  def runSystem(spark: SparkSession, b: Bundle, system: String): Scores = system match {
     case "BSL" =>
-      val p = PreparedPair(b.kb1, b.kb2, cfg)
-      val s = BSL.run(spark, p, b.truth).bestScores
-      p.unpersist()
-      s
-    case "PARIS" =>
-      Evaluation.scoreRestricted(ParisLite.run(spark, b.kb1, b.kb2), b.truth)
-    case "SiGMa" =>
-      Evaluation.scoreRestricted(SigmaLite.run(spark, b.kb1, b.kb2, b.gen.relAlignment), b.truth)
-    case "LINDA" =>
-      Evaluation.scoreRestricted(LindaLite.run(spark, b.kb1, b.kb2), b.truth)
-    case "RiMOM" =>
-      Evaluation.scoreRestricted(RimomLite.run(spark, b.kb1, b.kb2, b.gen.relAlignment), b.truth)
-    case other => sys.error(s"unknown system: $other")
+      val p = PreparedPair(b.kb1, b.kb2, MinoanERConfig())
+      try BSL.run(spark, p, b.truth).bestScores finally p.unpersist()
+    case _ => Evaluation.scoreRestricted(systemMatches(spark, b, system), b.truth)
   }
 
-  def table3(spark: SparkSession, b: Bundle,
-             systems: Seq[String] = Seq.empty): Seq[(String, Scores)] = {
-    val sys0 = if (systems.nonEmpty) systems else systemsFor(b.profile.name)
-    sys0.map(s => s -> runSystem(spark, b, s))
-  }
+  private def systemMatches(spark: SparkSession, b: Bundle, system: String): DataFrame =
+    system match {
+      case "MinoanER" => MinoanER.resolve(b.kb1, b.kb2, MinoanERConfig())
+      case "PARIS" => ParisLite.run(spark, b.kb1, b.kb2)
+      case "SiGMa" => SigmaLite.run(spark, b.kb1, b.kb2, b.gen.relAlignment)
+      case "LINDA" => LindaLite.run(spark, b.kb1, b.kb2)
+      case "RiMOM" => RimomLite.run(spark, b.kb1, b.kb2, b.gen.relAlignment)
+      case other => sys.error(s"unknown system: $other")
+    }
+
+  def table3(spark: SparkSession, b: Bundle): Seq[(String, Scores)] =
+    systemsFor(b.profile.name).map(s => s -> runSystem(spark, b, s))
 
   def renderScoresTable(title: String, b: Bundle,
                         paper: Map[String, Map[String, PaperNumbers.PRF]],

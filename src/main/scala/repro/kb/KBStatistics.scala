@@ -27,16 +27,18 @@ object KBStatistics {
   /** The rdf:type-like attribute filter used for the “types” statistic. */
   private def isTypePred = col("pred").rlike("(?i)(^|[:#/])type$")
 
+  /** A pred's vocabulary prefix: the non-empty text before its first `:`. */
+  private val Vocabulary = "([^:]+):".r
+
   def compute(kb: DataFrame): KBStats = {
     val s = KBModel.summary(kb)
     val triples = kb.count()
     val avgTok = Tokenizer.averageTokens(Tokenizer.entityTokens(kb))
     val types = KBModel.literals(kb).filter(isTypePred)
       .select("obj").distinct().count()
-    val vocabularies = kb
-      .select(regexp_extract(col("pred"), "^([^:]+):", 1) as "vocab")
-      .filter(length(col("vocab")) > 0)
-      .distinct().count()
+    // every pred is a key of one of the two maps
+    val vocabularies = (s.attributes.keySet ++ s.relations.keySet)
+      .flatMap(Vocabulary.findPrefixMatchOf(_).map(_.group(1))).size
     KBStats(s.entities, triples, avgTok, s.attributes.size, s.relations.size, types, vocabularies)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.JobCounter
 
 import repro.SparkSpec
 
@@ -12,46 +12,36 @@ class EvaluationSpec extends SparkSpec {
   private def truth(rows: (Long, Long)*) = rows.toSeq.toDF("id1", "id2")
 
   test("perfect match set scores 1/1/1") {
-    val s = Evaluation.score(df(1L -> 101L), truth(1L -> 101L))
+    val s = Evaluation.scorePairs(Seq(1L -> 101L), Set(1L -> 101L))
     assert(s.precision === 1.0 && s.recall === 1.0 && s.f1 === 1.0)
   }
 
   test("precision counts false positives") {
-    val s = Evaluation.score(df(1L -> 101L, 2L -> 102L), truth(1L -> 101L))
+    val s = Evaluation.scorePairs(Seq(1L -> 101L, 2L -> 102L), Set(1L -> 101L))
     assert(s.precision === 0.5)
     assert(s.recall === 1.0)
   }
 
   test("recall counts missed matches") {
-    val s = Evaluation.score(df(1L -> 101L), truth(1L -> 101L, 2L -> 102L))
+    val s = Evaluation.scorePairs(Seq(1L -> 101L), Set(1L -> 101L, 2L -> 102L))
     assert(s.recall === 0.5)
   }
 
   test("empty match set scores zero without dividing by zero") {
-    val s = Evaluation.score(df(), truth(1L -> 101L))
+    val s = Evaluation.scorePairs(Seq.empty, Set(1L -> 101L))
     assert(s.precision === 0.0 && s.recall === 0.0 && s.f1 === 0.0)
   }
 
   test("duplicate matches are counted once") {
-    val s = Evaluation.score(df(1L -> 101L, 1L -> 101L), truth(1L -> 101L))
+    val s = Evaluation.scorePairs(Seq(1L -> 101L, 1L -> 101L), Set(1L -> 101L))
     assert(s.returned === 1)
     assert(s.precision === 1.0)
   }
 
   test("f1 is the harmonic mean") {
-    val s = Evaluation.score(df(1L -> 101L, 2L -> 102L), truth(1L -> 101L, 3L -> 103L))
+    val s = Evaluation.scorePairs(Seq(1L -> 101L, 2L -> 102L), Set(1L -> 101L, 3L -> 103L))
     // p = 0.5, r = 0.5 -> f1 = 0.5
     assert(math.abs(s.f1 - 0.5) < 1e-12)
-  }
-
-  test("scorePairs agrees with the DataFrame scorer") {
-    val matches = Seq((1L, 101L), (2L, 102L), (3L, 109L))
-    val t = Set((1L, 101L), (2L, 102L), (4L, 104L))
-    val s1 = Evaluation.scorePairs(matches, t)
-    val s2 = Evaluation.score(df(matches: _*), truth(t.toSeq: _*))
-    assert(s1.precision === s2.precision)
-    assert(s1.recall === s2.recall)
-    assert(s1.truePositives === s2.truePositives)
   }
 
   test("scoreRestricted ignores pairs touching no ground-truth entity") {
@@ -88,12 +78,13 @@ class EvaluationSpec extends SparkSpec {
     assert(a.truePositives === b.truePositives)
   }
 
-  test("score releases the frames it caches") {
-    val m = df(1L -> 101L, 2L -> 103L)
-    val t = truth(1L -> 101L)
-    Evaluation.score(m, t)
-    assert(m.select("e1", "e2").distinct().storageLevel === StorageLevel.NONE)
-    assert(t.selectExpr("id1 as e1", "id2 as e2").distinct().storageLevel === StorageLevel.NONE)
+  test("scoreRestricted runs at most two Spark jobs") {
+    // one collect of the matches, one of the truth
+    val m = df(1L -> 101L, 2L -> 102L, 55L -> 102L)
+    val t = truth(1L -> 101L, 2L -> 102L)
+    val (s, jobs) = JobCounter(spark.sparkContext)(Evaluation.scoreRestricted(m, t))
+    assert(s.truePositives === 2)
+    assert(jobs <= 2, s"jobs=$jobs")
   }
 
   test("pct renders percent triple") {

@@ -63,7 +63,7 @@ class UniqueMappingClusteringSpec extends SparkSpec {
   test("collectCandidates caps per-entity candidates") {
     import spark.implicits._
     val scored = (1 to 100).map(i => (1L, 100L + i, i / 100.0)).toDF("e1", "e2", "score")
-    val c = UniqueMappingClustering.collectCandidates(scored, capPerEntity = 10)
+    val c = UniqueMappingClustering.collectCandidates(scored, Seq("score"), capPerEntity = 10)
     // e1-side cap is 10, but each e2 keeps its own top-1 → all rows survive
     // the OR of the two windows only where ranks allow; verify bound:
     assert(c.size <= 100)
@@ -73,7 +73,7 @@ class UniqueMappingClusteringSpec extends SparkSpec {
   test("collectCandidates drops non-positive scores") {
     import spark.implicits._
     val scored = Seq((1L, 101L, 0.0), (2L, 102L, 0.5)).toDF("e1", "e2", "score")
-    val c = UniqueMappingClustering.collectCandidates(scored)
+    val c = UniqueMappingClustering.collectCandidates(scored, Seq("score"))
     assert(c.map(p => (p._1, p._2)) === Seq((2L, 102L)))
   }
 }

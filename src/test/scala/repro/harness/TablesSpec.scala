@@ -4,6 +4,7 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.{SparkSpec, TestKBs}
 import repro.blocking.BlockStats
+import repro.core.Scores
 import repro.kb.Tokenizer
 
 class TablesSpec extends SparkSpec {
@@ -52,6 +53,27 @@ class TablesSpec extends SparkSpec {
     assert(s.f1 > 0.8, s.pct)
   }
 
+  test("runSystem keeps every system's Table-3 scores") {
+    val got = Seq("SiGMa", "LINDA", "RiMOM", "PARIS", "BSL", "MinoanER")
+      .map(sys => sys -> Tables.runSystem(spark, bundle, sys))
+    assert(got === Seq(
+      "SiGMa" -> Scores(1.0, 0.975, 0.9873417721518987, 39, 39, 40),
+      "LINDA" -> Scores(1.0, 0.675, 0.8059701492537313, 27, 27, 40),
+      "RiMOM" -> Scores(1.0, 0.975, 0.9873417721518987, 39, 39, 40),
+      "PARIS" -> Scores(1.0, 1.0, 1.0, 40, 40, 40),
+      "BSL" -> Scores(1.0, 1.0, 1.0, 40, 40, 40),
+      "MinoanER" -> Scores(1.0, 1.0, 1.0, 40, 40, 40)))
+  }
+
+  test("table4 keeps every variant's scores") {
+    assert(Tables.table4(spark, bundle) === Seq(
+      "R1" -> Scores(1.0, 0.7, 0.8235294117647058, 28, 28, 40),
+      "R2" -> Scores(1.0, 1.0, 1.0, 40, 40, 40),
+      "R3" -> Scores(1.0, 1.0, 1.0, 40, 40, 40),
+      "NoR4" -> Scores(1.0, 1.0, 1.0, 40, 40, 40),
+      "NoNeighbors" -> Scores(1.0, 1.0, 1.0, 40, 40, 40)))
+  }
+
   test("table4 produces one row per ablation variant") {
     val rows = Tables.table4(spark, bundle)
     assert(rows.map(_._1) === Seq("R1", "R2", "R3", "NoR4", "NoNeighbors"))
@@ -62,7 +84,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("renderScoresTable shows dashes for unreported paper cells") {
-    val rows = Seq("LINDA" -> repro.core.Scores(1, 1, 1, 1, 1, 1))
+    val rows = Seq("LINDA" -> Scores(1, 1, 1, 1, 1, 1))
     val out = Tables.renderScoresTable("Table 3",
       bundle.copy(profile = bundle.profile.copy(name = "yago-imdb-lite")),
       PaperNumbers.table3, rows)
