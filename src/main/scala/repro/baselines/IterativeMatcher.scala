@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{MinoanERConfig, UniqueMappingClustering}
+import repro.core.UniqueMappingClustering
 import repro.kb.KBModel
 import repro.blocking.{NameBlocking, PreparedPair}
 
@@ -84,20 +84,17 @@ object IterativeMatcher {
       .groupBy(_._1)
       .map { case (k2, v) => k2 -> v.map(t => (t._2, t._3)).toSeq }
 
-  /** Run the greedy collective matcher; returns matches (e1, e2). */
-  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame,
-          cfg: IterConfig): DataFrame = {
+  /** Run the greedy collective matcher on a prepared pair; returns matches (e1, e2). */
+  def run(spark: SparkSession, p: PreparedPair, cfg: IterConfig): DataFrame = {
     import spark.implicits._
 
-    val p = PreparedPair(kb1, kb2, MinoanERConfig())
     val values = UniqueMappingClustering
       .collectCandidates(valueScores(p), Seq("score"), CapPerEntity)
       .map { case (a, b, s) => (a, b, s(0)) }
     val seeds = nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1)))
-    p.unpersist()
 
-    val adj1 = adjacency(kb1)
-    val adj2 = adjacency(kb2)
+    val adj1 = adjacency(p.kb1)
+    val adj2 = adjacency(p.kb2)
     // reverse adjacency: neighbor → (pred, source)
     def reverse(a: Map[Long, Seq[(String, Long)]]): Map[Long, Seq[(String, Long)]] =
       a.toSeq.flatMap { case (src, es) => es.map { case (p, n) => (n, (p, src)) } }

@@ -2,6 +2,8 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
+import repro.blocking.PreparedPair
+
 /** LINDA-lite (Böhm et al., CIKM 2012): like SiGMa, but fully automated —
   * relations are considered compatible when their *names* are similar
   * (small edit distance), a requirement that rarely holds under the extreme
@@ -14,12 +16,12 @@ object LindaLite {
   private val Threshold = 0.5
   private val MinNameSim = 0.75
 
-  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame): DataFrame = {
+  def run(spark: SparkSession, p: PreparedPair): DataFrame = {
     val compat: IterativeMatcher.RelCompat = (p1, p2) => {
       val s = IterativeMatcher.editSimilarity(stripVocab(p1), stripVocab(p2))
       if (s >= MinNameSim) s else 0.0
     }
-    IterativeMatcher.run(spark, kb1, kb2,
+    IterativeMatcher.run(spark, p,
       IterativeMatcher.IterConfig(ValueWeight, Threshold, compat))
   }
 

@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.blocking.PreparedPair
 import repro.core.UniqueMappingClustering
 import repro.kb.KBModel
 
@@ -55,7 +56,7 @@ object ParisLite {
   }
 
   /** Relation functionality fun(r) = |distinct subjects| / |instances|,
-    * from the KB's [[KBModel.summary]]. Output: (p<side>, fun<side>, inst<side>).
+    * from the KB's [[KBModel.KBSummary]]. Output: (p<side>, fun<side>, inst<side>).
     */
   private def functionality(spark: SparkSession, s: KBModel.KBSummary, side: Int): DataFrame =
     spark.createDataFrame(s.relations.toSeq.map { case (p, c) =>
@@ -95,13 +96,13 @@ object ParisLite {
       .agg(sum(log(lit(1.0) - least(col("w"), lit(0.99)))) as "logNot")
   }
 
-  /** Run PARIS-lite; returns matches (e1, e2). */
-  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame): DataFrame = {
+  /** Run PARIS-lite on a prepared pair; returns matches (e1, e2). */
+  def run(spark: SparkSession, p: PreparedPair): DataFrame = {
     import spark.implicits._
-    val lit0 = literalEvidence(kb1, kb2).cache()
+    val lit0 = literalEvidence(p.kb1, p.kb2).cache()
     lit0.count()
-    val Seq(fun1, fun2) = KBModel.summaries(kb1, kb2).zip(1 to 2)
-      .map { case (s, side) => functionality(spark, s, side) }
+    val fun1 = functionality(spark, p.summary1, 1)
+    val fun2 = functionality(spark, p.summary2, 2)
 
     def accept(evidence: DataFrame): Seq[(Long, Long)] = {
       val probs = evidence.select(col("e1"), col("e2"),
@@ -114,7 +115,7 @@ object ParisLite {
 
     var matches = accept(lit0).toDF("e1", "e2")
     for (_ <- 1 to Iterations) {
-      val rel = relationEvidence(kb1, kb2, fun1, fun2, matches)
+      val rel = relationEvidence(p.kb1, p.kb2, fun1, fun2, matches)
       val combined = lit0
         .unionByName(rel)
         .groupBy("e1", "e2")

@@ -2,6 +2,8 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
+import repro.blocking.PreparedPair
+
 /** RiMOM-lite (Shao et al., JCST 2016): iterative instance matching over
   * aligned relations (attribute alignment is part of its required input —
   * paper §5: “this method requires attribute alignment”), with the
@@ -12,9 +14,8 @@ object RimomLite {
   private val ValueWeight = 0.6
   private val Threshold = 0.42
 
-  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame,
-          relAlignment: Map[String, String]): DataFrame =
-    IterativeMatcher.run(spark, kb1, kb2,
+  def run(spark: SparkSession, p: PreparedPair, relAlignment: Map[String, String]): DataFrame =
+    IterativeMatcher.run(spark, p,
       IterativeMatcher.IterConfig(ValueWeight, Threshold,
         IterativeMatcher.alignedCompat(relAlignment),
         siblingCompletion = true))

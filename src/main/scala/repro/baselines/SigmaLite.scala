@@ -2,6 +2,8 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
+import repro.blocking.PreparedPair
+
 /** SiGMa-lite (Lacoste-Julien et al., KDD 2013): greedy collective matching
   * seeded by identical entity names, propagating over *pre-aligned*
   * relations. The true relation alignment is part of its input — modeling
@@ -12,9 +14,8 @@ object SigmaLite {
   private val ValueWeight = 0.6
   private val Threshold = 0.32
 
-  def run(spark: SparkSession, kb1: DataFrame, kb2: DataFrame,
-          relAlignment: Map[String, String]): DataFrame =
-    IterativeMatcher.run(spark, kb1, kb2,
+  def run(spark: SparkSession, p: PreparedPair, relAlignment: Map[String, String]): DataFrame =
+    IterativeMatcher.run(spark, p,
       IterativeMatcher.IterConfig(ValueWeight, Threshold,
         IterativeMatcher.alignedCompat(relAlignment)))
 }

@@ -33,20 +33,12 @@ object MinoanER {
   }
 
   /** Resolve two clean KBs end-to-end: build the graph, run the rules.
-    * The caller caches `kb1` and `kb2` (each is read by several jobs).
+    * The caller caches `kb1` and `kb2` (each is read by several jobs). The
+    * result reads only checkpointed data, so the pair's caches are released.
     */
-  def resolve(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfig = MinoanERConfig()): DataFrame =
-    resolveVariant(kb1, kb2, cfg, Variant.Full)
-
-  /** Resolve with an explicit rule selection (Table-4 ablations). The
-    * result reads only checkpointed data, so `p`'s caches are released.
-    */
-  def resolveVariant(
-      kb1: DataFrame, kb2: DataFrame,
-      cfg: MinoanERConfig,
-      variant: Variant): DataFrame = {
+  def resolve(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfig = MinoanERConfig()): DataFrame = {
     val p = PreparedPair(kb1, kb2, cfg)
-    val m = matchGraph(BlockingGraph.build(p), p, variant)
+    val m = matchGraph(BlockingGraph.build(p), p)
     p.unpersist()
     m
   }

@@ -5,6 +5,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.blocking.{BlockStatistics, BlockStats, PreparedPair}
 import repro.core._
 import repro.data.{KBProfile, WebKBGen}
+import repro.graph.BlockingGraph
 import repro.kb.{KBStatistics, KBStats}
 import repro.baselines._
 
@@ -35,15 +36,19 @@ object Tables {
 
   final case class Table1Result(stats1: KBStats, stats2: KBStats, matches: Long)
 
-  def table1(b: Bundle): Table1Result =
-    Table1Result(KBStatistics.compute(b.kb1), KBStatistics.compute(b.kb2), b.truth.count())
+  def table1(b: Bundle): Table1Result = {
+    val p = PreparedPair(b.kb1, b.kb2, MinoanERConfig())
+    try Table1Result(KBStatistics.compute(b.kb1, p.summary1, p.tokens1),
+      KBStatistics.compute(b.kb2, p.summary2, p.tokens2), b.truth.count())
+    finally p.unpersist()
+  }
 
   def renderTable1(b: Bundle, r: Table1Result): String = {
     val p = PaperNumbers.table1(b.profile.name)
     val sb = new StringBuilder
-    sb ++= s"== Table 1 — ${b.profile.name} (paper ∥ measured) ==\n"
+    sb ++= s"== Table 1 - ${b.profile.name} (paper | measured) ==\n"
     def row(n: String, paper: String, m: String): Unit =
-      sb ++= f"  $n%-16s ${paper}%-24s ∥ $m%s\n"
+      sb ++= f"  $n%-16s ${paper}%-24s | $m%s\n"
     row("E1/E2 entities", s"${p.e1}/${p.e2}", s"${r.stats1.entities}/${r.stats2.entities}")
     row("E1/E2 triples", s"${p.t1}/${p.t2}", s"${r.stats1.triples}/${r.stats2.triples}")
     row("E1/E2 av.tokens", f"${p.avgTok1}%.2f/${p.avgTok2}%.2f",
@@ -60,17 +65,15 @@ object Tables {
 
   def table2(b: Bundle): BlockStats = {
     val p = PreparedPair(b.kb1, b.kb2, MinoanERConfig())
-    val s = BlockStatistics.compute(p, b.truth)
-    p.unpersist()
-    s
+    try BlockStatistics.compute(p, b.truth) finally p.unpersist()
   }
 
   def renderTable2(b: Bundle, s: BlockStats): String = {
     val p = PaperNumbers.table2(b.profile.name)
     val sb = new StringBuilder
-    sb ++= s"== Table 2 — ${b.profile.name} (paper ∥ measured) ==\n"
+    sb ++= s"== Table 2 - ${b.profile.name} (paper | measured) ==\n"
     def row(n: String, paper: String, m: String): Unit =
-      sb ++= f"  $n%-12s ${paper}%-14s ∥ $m%s\n"
+      sb ++= f"  $n%-12s ${paper}%-14s | $m%s\n"
     row("|B_N|", f"${p.bN}%.0f", s"${s.nameBlocks}")
     row("|B_T|", f"${p.bT}%.0f", s"${s.tokenBlocks}")
     row("||B_N||", f"${p.compN}%.3g", f"${s.nameComparisons.toDouble}%.3g")
@@ -89,38 +92,38 @@ object Tables {
     Seq("SiGMa", "LINDA", "RiMOM", "PARIS", "BSL", "MinoanER")
       .filter(s => PaperNumbers.table3(s).contains(profileName))
 
-  /** The restricted P/R/F1 of one system on the bundle (BSL reports the
-    * best of its own grid sweep).
+  /** The restricted P/R/F1 of one system over the bundle's prepared pair
+    * `p` (BSL reports the best of its own grid sweep).
     */
-  def runSystem(spark: SparkSession, b: Bundle, system: String): Scores = system match {
-    case "BSL" =>
-      val p = PreparedPair(b.kb1, b.kb2, MinoanERConfig())
-      try BSL.run(spark, p, b.truth).bestScores finally p.unpersist()
-    case _ => Evaluation.scoreRestricted(systemMatches(spark, b, system), b.truth)
-  }
-
-  private def systemMatches(spark: SparkSession, b: Bundle, system: String): DataFrame =
+  def runSystem(spark: SparkSession, b: Bundle, p: PreparedPair, system: String): Scores = {
+    def score(matches: DataFrame) = Evaluation.scoreRestricted(matches, b.truth)
     system match {
-      case "MinoanER" => MinoanER.resolve(b.kb1, b.kb2, MinoanERConfig())
-      case "PARIS" => ParisLite.run(spark, b.kb1, b.kb2)
-      case "SiGMa" => SigmaLite.run(spark, b.kb1, b.kb2, b.gen.relAlignment)
-      case "LINDA" => LindaLite.run(spark, b.kb1, b.kb2)
-      case "RiMOM" => RimomLite.run(spark, b.kb1, b.kb2, b.gen.relAlignment)
+      case "BSL" => BSL.run(spark, p, b.truth).bestScores
+      case "MinoanER" => score(MinoanER.matchGraph(BlockingGraph.build(p), p))
+      case "PARIS" => score(ParisLite.run(spark, p))
+      case "SiGMa" => score(SigmaLite.run(spark, p, b.gen.relAlignment))
+      case "LINDA" => score(LindaLite.run(spark, p))
+      case "RiMOM" => score(RimomLite.run(spark, p, b.gen.relAlignment))
       case other => sys.error(s"unknown system: $other")
     }
+  }
 
-  def table3(spark: SparkSession, b: Bundle): Seq[(String, Scores)] =
-    systemsFor(b.profile.name).map(s => s -> runSystem(spark, b, s))
+  /** Every system the paper reports for the bundle, over one prepared pair. */
+  def table3(spark: SparkSession, b: Bundle): Seq[(String, Scores)] = {
+    val p = PreparedPair(b.kb1, b.kb2, MinoanERConfig())
+    try systemsFor(b.profile.name).map(s => s -> runSystem(spark, b, p, s))
+    finally p.unpersist()
+  }
 
   def renderScoresTable(title: String, b: Bundle,
                         paper: Map[String, Map[String, PaperNumbers.PRF]],
                         rows: Seq[(String, Scores)]): String = {
     val sb = new StringBuilder
-    sb ++= s"== $title — ${b.profile.name} (paper P/R/F1 ∥ measured P/R/F1) ==\n"
+    sb ++= s"== $title - ${b.profile.name} (paper P/R/F1 | measured P/R/F1) ==\n"
     for ((name, s) <- rows) {
       val ps = paper.get(name).flatMap(_.get(b.profile.name))
         .map { case (p, r, f) => f"$p%.2f/$r%.2f/$f%.2f" }.getOrElse("-")
-      sb ++= f"  $name%-12s $ps%-22s ∥ ${s.pct}%s\n"
+      sb ++= f"  $name%-12s $ps%-22s | ${s.pct}%s\n"
     }
     sb.result()
   }
@@ -138,7 +141,7 @@ object Tables {
   def table4(spark: SparkSession, b: Bundle,
              cfg: MinoanERConfig = MinoanERConfig()): Seq[(String, Scores)] = {
     val p = PreparedPair(b.kb1, b.kb2, cfg)
-    val g = repro.graph.BlockingGraph.build(p)
+    val g = BlockingGraph.build(p)
     val rows = table4Variants.map { case (name, v) =>
       name -> Evaluation.scoreRestricted(MinoanER.matchGraph(g, p, v), b.truth)
     }

@@ -30,12 +30,13 @@ object KBStatistics {
   /** A pred's vocabulary prefix: the non-empty text before its first `:`. */
   private val Vocabulary = "([^:]+):".r
 
-  def compute(kb: DataFrame): KBStats = {
-    val s = KBModel.summary(kb)
+  /** Statistics of `kb` from its summary `s` and its entity `tokens`. Triples and
+    * types are counted on `kb`: `s` counts distinct triples, and objects per pred.
+    */
+  def compute(kb: DataFrame, s: KBModel.KBSummary, tokens: DataFrame): KBStats = {
     val triples = kb.count()
-    val avgTok = Tokenizer.averageTokens(Tokenizer.entityTokens(kb))
-    val types = KBModel.literals(kb).filter(isTypePred)
-      .select("obj").distinct().count()
+    val avgTok = Tokenizer.averageTokens(tokens)
+    val types = KBModel.literals(kb).filter(isTypePred).select("obj").distinct().count()
     // every pred is a key of one of the two maps
     val vocabularies = (s.attributes.keySet ++ s.relations.keySet)
       .flatMap(Vocabulary.findPrefixMatchOf(_).map(_.group(1))).size

@@ -8,6 +8,8 @@ import repro.data.WebKBGen
 class IterativeMatcherSpec extends SparkSpec {
 
   private lazy val figure1 = PreparedPair(TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig())
+  private lazy val tiny = WebKBGen.generate(spark, TestKBs.tinyProfile)
+  private lazy val tinyPair = PreparedPair(tiny.kb1, tiny.kb2, MinoanERConfig())
 
   test("editSimilarity of identical strings is 1") {
     assert(IterativeMatcher.editSimilarity("chef", "chef") === 1.0)
@@ -53,7 +55,7 @@ class IterativeMatcherSpec extends SparkSpec {
     val align = Map("hasChef" -> "headChef", "territorial" -> "county")
     val compat: IterativeMatcher.RelCompat =
       (p1, p2) => if (align.get(p1).contains(p2)) 1.0 else 0.0
-    val m = IterativeMatcher.run(spark, TestKBs.kb1(spark), TestKBs.kb2(spark),
+    val m = IterativeMatcher.run(spark, figure1,
       IterativeMatcher.IterConfig(valueWeight = 0.5, threshold = 0.1, relCompat = compat))
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(m.contains((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
@@ -63,7 +65,7 @@ class IterativeMatcherSpec extends SparkSpec {
 
   test("a high threshold suppresses low-value matches") {
     val compat: IterativeMatcher.RelCompat = (_, _) => 0.0
-    val m = IterativeMatcher.run(spark, TestKBs.kb1(spark), TestKBs.kb2(spark),
+    val m = IterativeMatcher.run(spark, figure1,
       IterativeMatcher.IterConfig(valueWeight = 1.0, threshold = 0.99, relCompat = compat))
       .collect().map(r => (r.getLong(0), r.getLong(1)))
     // only the name seed; no value score reaches the threshold
@@ -71,31 +73,27 @@ class IterativeMatcherSpec extends SparkSpec {
   }
 
   test("matches form a partial 1-1 mapping") {
-    val g = WebKBGen.generate(spark, TestKBs.tinyProfile)
-    val m = SigmaLite.run(spark, g.kb1, g.kb2, g.relAlignment)
+    val m = SigmaLite.run(spark, tinyPair, tiny.relAlignment)
       .collect().map(r => (r.getLong(0), r.getLong(1)))
     assert(m.map(_._1).distinct.length === m.length)
     assert(m.map(_._2).distinct.length === m.length)
   }
 
   test("SiGMa-lite on the strongly similar tiny profile reaches high F1") {
-    val g = WebKBGen.generate(spark, TestKBs.tinyProfile)
     val s = repro.core.Evaluation.scoreRestricted(
-      SigmaLite.run(spark, g.kb1, g.kb2, g.relAlignment), g.truth)
+      SigmaLite.run(spark, tinyPair, tiny.relAlignment), tiny.truth)
     assert(s.f1 > 0.8, s"scores: ${s.pct}")
   }
 
   test("RiMOM-lite runs and produces sane output on the tiny profile") {
-    val g = WebKBGen.generate(spark, TestKBs.tinyProfile)
     val s = repro.core.Evaluation.scoreRestricted(
-      RimomLite.run(spark, g.kb1, g.kb2, g.relAlignment), g.truth)
+      RimomLite.run(spark, tinyPair, tiny.relAlignment), tiny.truth)
     assert(s.f1 > 0.5, s"scores: ${s.pct}")
   }
 
   test("LINDA-lite works on similar relation names") {
-    val g = WebKBGen.generate(spark, TestKBs.tinyProfile)
     val s = repro.core.Evaluation.scoreRestricted(
-      LindaLite.run(spark, g.kb1, g.kb2), g.truth)
+      LindaLite.run(spark, tinyPair), tiny.truth)
     assert(s.precision > 0.7, s"scores: ${s.pct}")
   }
 }

@@ -21,6 +21,16 @@ class MinoanERSpec extends SparkSpec {
     g.kb1.cache(); g.kb2.cache(); g
   }
   private lazy val fullMatches = MinoanER.resolve(tiny.kb1, tiny.kb2).cache()
+  /** One pair and one graph of `tiny` for the variant tests. The graph is
+    * checkpointed, so the pair's caches are released once it is built.
+    */
+  private lazy val (tinyPair, tinyGraph) = {
+    val p = PreparedPair(tiny.kb1, tiny.kb2, MinoanERConfig())
+    val g = BlockingGraph.build(p)
+    p.unpersist()
+    (p, g)
+  }
+  private def variant(v: MinoanER.Variant) = MinoanER.matchGraph(tinyGraph, tinyPair, v)
 
   test("resolve on the strongly-similar tiny profile reaches high F1") {
     val s = Evaluation.scoreRestricted(fullMatches, tiny.truth)
@@ -41,23 +51,20 @@ class MinoanERSpec extends SparkSpec {
   }
 
   test("R1-only variant is a subset of alpha edges and highly precise") {
-    val m = MinoanER.resolveVariant(tiny.kb1, tiny.kb2, MinoanERConfig(),
-      MinoanER.Variant.R1Only)
+    val m = variant(MinoanER.Variant.R1Only)
     val s = Evaluation.scoreRestricted(m, tiny.truth)
     assert(s.precision > 0.9, s"scores: ${s.pct}")
     assert(s.recall < 1.0)
   }
 
   test("R2-only variant is precise on strongly similar data") {
-    val m = MinoanER.resolveVariant(tiny.kb1, tiny.kb2, MinoanERConfig(),
-      MinoanER.Variant.R2Only)
+    val m = variant(MinoanER.Variant.R2Only)
     val s = Evaluation.scoreRestricted(m, tiny.truth)
     assert(s.precision > 0.8, s"scores: ${s.pct}")
   }
 
   test("R3-only variant recalls most matches") {
-    val m = MinoanER.resolveVariant(tiny.kb1, tiny.kb2, MinoanERConfig(),
-      MinoanER.Variant.R3Only)
+    val m = variant(MinoanER.Variant.R3Only)
     val s = Evaluation.scoreRestricted(m, tiny.truth)
     assert(s.recall > 0.7, s"scores: ${s.pct}")
   }
@@ -65,15 +72,13 @@ class MinoanERSpec extends SparkSpec {
   test("NoR4 variant returns a superset of the full variant's matches") {
     val full = fullMatches.collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
-    val noR4 = MinoanER.resolveVariant(tiny.kb1, tiny.kb2, MinoanERConfig(),
-      MinoanER.Variant.NoR4).collect()
+    val noR4 = variant(MinoanER.Variant.NoR4).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(full.subsetOf(noR4))
   }
 
   test("NoNeighbors variant still runs the full cascade") {
-    val m = MinoanER.resolveVariant(tiny.kb1, tiny.kb2, MinoanERConfig(),
-      MinoanER.Variant.NoNeighbors)
+    val m = variant(MinoanER.Variant.NoNeighbors)
     val s = Evaluation.scoreRestricted(m, tiny.truth)
     assert(s.f1 > 0.8, s"scores: ${s.pct}")
   }

@@ -1,11 +1,13 @@
 package repro.harness
 
+import org.apache.spark.JobCounter
 import org.apache.spark.storage.StorageLevel
 
 import repro.{SparkSpec, TestKBs}
-import repro.blocking.BlockStats
-import repro.core.Scores
-import repro.kb.Tokenizer
+import repro.blocking.{BlockStats, PreparedPair}
+import repro.core.{MinoanERConfig, Scores}
+import repro.data.DatasetProfile
+import repro.kb.{KBStats, Tokenizer}
 
 class TablesSpec extends SparkSpec {
 
@@ -17,6 +19,37 @@ class TablesSpec extends SparkSpec {
     assert(r.stats1.entities === TestKBs.tinyProfile.n1)
     assert(r.stats2.entities === TestKBs.tinyProfile.n2)
     assert(r.matches === TestKBs.tinyProfile.nMatches)
+  }
+
+  test("table1 keeps every statistic of the tiny bundle") {
+    // captured before the statistics read the prepared pair
+    assert(Tables.table1(bundle) === Tables.Table1Result(
+      KBStats(entities = 80, triples = 1057, avgTokens = 21.125, attributes = 8,
+        relations = 2, types = 3, vocabularies = 2),
+      KBStats(entities = 200, triples = 2636, avgTokens = 21.15, attributes = 8,
+        relations = 2, types = 3, vocabularies = 2),
+      matches = 40))
+  }
+
+  test("table1 and table3 stay within their Spark job budgets") {
+    // 26 and 566 jobs when each KB's statistics and each Table-3 system
+    // prepared the pair on their own
+    val (_, jobs1) = JobCounter(spark.sparkContext)(Tables.table1(bundle))
+    val (_, jobs3) = JobCounter(spark.sparkContext)(Tables.table3(spark, bundle))
+    info(s"Spark jobs: table1 $jobs1, table3 $jobs3")
+    assert(jobs1 <= 25, s"table1: $jobs1 Spark jobs")
+    assert(jobs3 <= 511, s"table3: $jobs3 Spark jobs")
+  }
+
+  test("table1 and table3 release every frame they cache") {
+    // by id: the context cleaner may drop earlier suites' RDDs meanwhile;
+    // local checkpoints (the MinoanER graph's edges and matches) are data,
+    // not caches, and are dropped with the frames that hold them
+    def cached = spark.sparkContext.getPersistentRDDs.filterNot(_._2.isCheckpointed).keySet
+    val before = cached
+    Tables.table1(bundle)
+    Tables.table3(spark, bundle)
+    assert((cached -- before).isEmpty)
   }
 
   test("renderTable1 includes paper and measured columns") {
@@ -49,14 +82,15 @@ class TablesSpec extends SparkSpec {
   }
 
   test("runSystem executes MinoanER on the tiny bundle") {
-    val s = Tables.runSystem(spark, bundle, "MinoanER")
+    val p = PreparedPair(bundle.kb1, bundle.kb2, MinoanERConfig())
+    val s = Tables.runSystem(spark, bundle, p, "MinoanER")
+    p.unpersist()
     assert(s.f1 > 0.8, s.pct)
   }
 
   test("runSystem keeps every system's Table-3 scores") {
-    val got = Seq("SiGMa", "LINDA", "RiMOM", "PARIS", "BSL", "MinoanER")
-      .map(sys => sys -> Tables.runSystem(spark, bundle, sys))
-    assert(got === Seq(
+    // table3 runs every system of the restaurant analogue over one pair
+    assert(Tables.table3(spark, bundle) === Seq(
       "SiGMa" -> Scores(1.0, 0.975, 0.9873417721518987, 39, 39, 40),
       "LINDA" -> Scores(1.0, 0.675, 0.8059701492537313, 27, 27, 40),
       "RiMOM" -> Scores(1.0, 0.975, 0.9873417721518987, 39, 39, 40),
@@ -81,6 +115,22 @@ class TablesSpec extends SparkSpec {
     // the prepared pair's caches are released
     assert(Tokenizer.entityTokens(bundle.kb1).storageLevel === StorageLevel.NONE)
     assert(Tokenizer.entityTokens(bundle.kb2).storageLevel === StorageLevel.NONE)
+  }
+
+  test("rendered Tables 1-4 are pure ASCII") {
+    val scores = Scores(1, 1, 1, 1, 1, 1)
+    for (profile <- DatasetProfile.all) {
+      val b = bundle.copy(profile = profile)
+      val stats = KBStats(1, 1, 1.0, 1, 1, 1, 1)
+      val out = Seq(
+        Tables.renderTable1(b, Tables.Table1Result(stats, stats, 1)),
+        Tables.renderTable2(b, BlockStats(1, 1, 1, 1, 1.0, 1.0, 1.0, 1.0, 1, 1)),
+        Tables.renderScoresTable("Table 3", b, PaperNumbers.table3,
+          Tables.systemsFor(profile.name).map(_ -> scores)),
+        Tables.renderScoresTable("Table 4", b, PaperNumbers.table4,
+          Tables.table4Variants.map(_._1 -> scores))).mkString
+      assert(out.forall(_ < 128), out.filter(_ >= 128).distinct)
+    }
   }
 
   test("renderScoresTable shows dashes for unreported paper cells") {

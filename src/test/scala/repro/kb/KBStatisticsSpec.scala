@@ -1,5 +1,7 @@
 package repro.kb
 
+import org.apache.spark.sql.DataFrame
+
 import repro.{SparkSpec, TestKBs}
 import repro.data.WebKBGen
 
@@ -7,18 +9,21 @@ class KBStatisticsSpec extends SparkSpec {
 
   private lazy val kb1 = TestKBs.kb1(spark)
 
+  private def stats(kb: DataFrame): KBStats =
+    KBStatistics.compute(kb, KBModel.summary(kb), Tokenizer.entityTokens(kb))
+
   test("entities and triples counted") {
-    val s = KBStatistics.compute(kb1)
+    val s = stats(kb1)
     assert(s.entities === 4)
     assert(s.triples === 10)
   }
 
   test("attributes counts distinct literal preds") {
-    assert(KBStatistics.compute(kb1).attributes === 2) // label, comment
+    assert(stats(kb1).attributes === 2) // label, comment
   }
 
   test("relations counts distinct entity-valued preds") {
-    assert(KBStatistics.compute(kb1).relations === 3)
+    assert(stats(kb1).relations === 3)
   }
 
   test("types counts distinct values of a type-like attribute") {
@@ -27,29 +32,29 @@ class KBStatisticsSpec extends SparkSpec {
       (2L, "v0:type", "place", None),
       (3L, "v0:type", "person", None),
       (1L, "v0:label", "x", None)))
-    assert(KBStatistics.compute(kb).types === 2)
+    assert(stats(kb).types === 2)
   }
 
   test("vocabularies counts distinct pred prefixes") {
     val kb = KBModel.fromRows(spark, Seq(
       (1L, "v0:a", "x", None), (1L, "v1:b", "y", None), (1L, "v0:c", "z", None)))
-    assert(KBStatistics.compute(kb).vocabularies === 2)
+    assert(stats(kb).vocabularies === 2)
   }
 
   test("no vocabulary prefixes yields zero vocabularies") {
-    assert(KBStatistics.compute(kb1).vocabularies === 0)
+    assert(stats(kb1).vocabularies === 0)
   }
 
   test("avgTokens matches the tokenizer average") {
-    val s = KBStatistics.compute(kb1)
+    val s = stats(kb1)
     val avg = Tokenizer.averageTokens(Tokenizer.entityTokens(kb1))
     assert(math.abs(s.avgTokens - avg) < 1e-12)
   }
 
   test("generated tiny profile reports the configured entity counts") {
     val g = WebKBGen.generate(spark, TestKBs.tinyProfile)
-    val s1 = KBStatistics.compute(g.kb1)
-    val s2 = KBStatistics.compute(g.kb2)
+    val s1 = stats(g.kb1)
+    val s2 = stats(g.kb2)
     assert(s1.entities === TestKBs.tinyProfile.n1)
     assert(s2.entities === TestKBs.tinyProfile.n2)
     assert(s1.vocabularies <= TestKBs.tinyProfile.vocab1)
