@@ -35,22 +35,16 @@ object MatchingRules {
     * KB, take its top-β candidate; match if β ≥ 1 and the candidate is
     * unmatched.
     *
-    * @param smallerSide entities of the smaller KB, column `entity`
-    * @param kb1Entities entities of KB1 (for orienting output pairs)
+    * @param smallerIsKB1 whether KB1 is the smaller KB: R2 scans the value
+    *                     edges whose source is on that side
     */
-  def r2(
-      g: DisjunctiveBlockingGraph,
-      smallerSide: DataFrame,
-      kb1Entities: DataFrame,
-      matched: DataFrame): DataFrame = {
-    val cand0 = g.valueEdges
-      .join(smallerSide.select(col("entity") as "src"), "src")
+  def r2(g: DisjunctiveBlockingGraph, smallerIsKB1: Boolean, matched: DataFrame): DataFrame = {
+    val cand0 = g.valueEdges.filter(col("fromKB1") === smallerIsKB1)
     val cand = exclude(exclude(cand0, "src", matched), "dst", matched)
     val w = Window.partitionBy("src").orderBy(col("beta").desc, col("dst"))
     val top = cand.withColumn("rn", row_number().over(w))
       .filter(col("rn") === 1 && col("beta") >= 1.0)
-      .select("src", "dst")
-    BlockingGraph.orient(top, kb1Entities)
+    BlockingGraph.orient(top)
   }
 
   /** R3 — Rank Aggregation Matching Rule: θ-weighted fusion of the
@@ -62,7 +56,6 @@ object MatchingRules {
   def r3(
       g: DisjunctiveBlockingGraph,
       theta: Double,
-      kb1Entities: DataFrame,
       matched: DataFrame,
       useNeighbors: Boolean = true): DataFrame = {
 
@@ -73,7 +66,7 @@ object MatchingRules {
       filtered
         .withColumn("rn", row_number().over(w))
         .withColumn("listSize", count(lit(1)).over(sz))
-        .select(col("src"), col("dst"),
+        .select(col("src"), col("dst"), col("fromKB1"),
           (lit(factor) * (col("listSize") - col("rn") + 1) / col("listSize")) as "score")
     }
 
@@ -83,13 +76,31 @@ object MatchingRules {
         valScores.union(rankScores(g.neighborEdges, "gamma", 1.0 - theta))
       else valScores
 
-    val agg = scores.groupBy("src", "dst").agg(sum("score") as "agg")
+    val agg = scores.groupBy("src", "dst", "fromKB1").agg(sum("score") as "agg")
     val w = Window.partitionBy("src").orderBy(col("agg").desc, col("dst"))
     val top = agg.withColumn("rn", row_number().over(w))
       .filter(col("rn") === 1)
-      .select("src", "dst")
-    BlockingGraph.orient(top, kb1Entities).distinct()
+    BlockingGraph.orient(top).distinct()
   }
+
+  // Kept only for perfbench's TracedPipeline, which calls these shapes; the
+  // edges carry their side, so the entity frames are not joined. Deleted
+  // with ROADMAP item 1.
+  @deprecated("the edges carry their side: use r2(g, smallerIsKB1, matched)", "0.1")
+  def r2(
+      g: DisjunctiveBlockingGraph,
+      smallerSide: DataFrame,
+      kb1Entities: DataFrame,
+      matched: DataFrame): DataFrame =
+    r2(g, !smallerSide.join(kb1Entities, "entity").isEmpty, matched)
+
+  @deprecated("the edges carry their side: use r3(g, theta, matched)", "0.1")
+  def r3(
+      g: DisjunctiveBlockingGraph,
+      theta: Double,
+      kb1Entities: DataFrame,
+      matched: DataFrame): DataFrame =
+    r3(g, theta, matched)
 
   /** R4 — Reciprocity Matching Rule: keep (e1, e2) only if both directed
     * edges e1→e2 and e2→e1 are present in the pruned graph.

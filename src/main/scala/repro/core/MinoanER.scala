@@ -4,7 +4,6 @@ import org.apache.spark.sql.DataFrame
 
 import repro.blocking.PreparedPair
 import repro.graph.{BlockingGraph, DisjunctiveBlockingGraph}
-import repro.kb.KBModel
 
 /** The MinoanER non-iterative matching pipeline (paper §4, Algorithm 2).
   *
@@ -54,17 +53,14 @@ object MinoanER {
       g: DisjunctiveBlockingGraph,
       p: PreparedPair,
       variant: Variant = Variant.Full): DataFrame = {
-    val e1 = KBModel.entities(p.kb1)
-    val smaller =
-      if (p.summary1.entities <= p.summary2.entities) e1 else KBModel.entities(p.kb2)
-
+    val smallerIsKB1 = p.summary1.entities <= p.summary2.entities
     val r1 = MatchingRules.r1(g)
     var m = if (variant.useR1) r1 else r1.limit(0) // empty, with R1's schema
     if (variant.useR2)
-      m = m.union(MatchingRules.r2(g, smaller, e1, MatchingRules.matchedEntities(m)))
+      m = m.union(MatchingRules.r2(g, smallerIsKB1, MatchingRules.matchedEntities(m)))
         .localCheckpoint(true)
     if (variant.useR3)
-      m = m.union(MatchingRules.r3(g, p.cfg.theta, e1, MatchingRules.matchedEntities(m),
+      m = m.union(MatchingRules.r3(g, p.cfg.theta, MatchingRules.matchedEntities(m),
         variant.useNeighbors)).localCheckpoint(true)
     if (variant.useR4) m = MatchingRules.r4(g, m)
     m.select("e1", "e2")

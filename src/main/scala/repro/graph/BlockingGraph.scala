@@ -4,7 +4,6 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.kb.KBModel
 import repro.blocking.{NameBlocking, PreparedPair}
 
 /** The pruned, directed disjunctive blocking graph (paper §3.2–3.3).
@@ -15,10 +14,10 @@ import repro.blocking.{NameBlocking, PreparedPair}
   *
   *  - `alphaEdges`    (e1, e2): 1×1 name-block pairs, distinct. Name
   *                    evidence is undirected; both directions are implied.
-  *  - `valueEdges`    (src, dst, beta, rank): per node, the top-K out-edges
-  *                    by β (rank 1 = best). Contains edges in both
-  *                    directions (src ∈ E1 and src ∈ E2).
-  *  - `neighborEdges` (src, dst, gamma, rank): per node, top-K by γ.
+  *  - `valueEdges`    (src, dst, beta, fromKB1): per node, the top-K
+  *                    out-edges by β. Contains edges in both directions;
+  *                    `fromKB1` is true where src ∈ E1.
+  *  - `neighborEdges` (src, dst, gamma, fromKB1): per node, top-K by γ.
   */
 final case class DisjunctiveBlockingGraph(
     alphaEdges: DataFrame,
@@ -41,35 +40,31 @@ object BlockingGraph {
   /** Directed top-K pruning of symmetric weighted pairs (paper §3.3): every
     * undirected edge is considered as two directed ones and each node keeps
     * its K best out-edges (ties broken by `dst`). Each pair row yields both
-    * directions, so `pairs` is evaluated once.
+    * directions, so `pairs` is evaluated once. Each edge keeps the side of
+    * its source, as `fromKB1`.
     *
     * @param pairs (e1, e2, w) with e1 ∈ KB1, e2 ∈ KB2
-    * @return (src, dst, w, rank) — both directions, rank per src
+    * @return (src, dst, w, fromKB1) — both directions
     */
   def topKDirected(pairs: DataFrame, weightCol: String, k: Int): DataFrame = {
     val w = Window.partitionBy("src").orderBy(col(weightCol).desc, col("dst"))
     pairs
       .select(inline(array(
-        struct(col("e1") as "src", col("e2") as "dst", col(weightCol)),
-        struct(col("e2") as "src", col("e1") as "dst", col(weightCol)))))
+        struct(col("e1") as "src", col("e2") as "dst", col(weightCol), lit(true) as "fromKB1"),
+        struct(col("e2") as "src", col("e1") as "dst", col(weightCol), lit(false) as "fromKB1"))))
       .withColumn("rank", row_number().over(w))
       .filter(col("rank") <= k)
+      .drop("rank")
   }
 
-  /** Undo [[topKDirected]]'s direction: orient directed (src, dst) pairs as
-    * (e1 ∈ KB1, e2 ∈ KB2, keep…). One broadcast left join flags the
-    * sources in KB1; every pair is kept, once.
-    *
-    * @param kb1Entities entities of KB1, column `entity`, distinct
+  /** Undo [[topKDirected]]'s direction: orient directed (src, dst, fromKB1)
+    * edges as (e1 ∈ KB1, e2 ∈ KB2, keep…). Every edge is kept, once.
     */
-  def orient(pairs: DataFrame, kb1Entities: DataFrame, keep: String*): DataFrame = {
-    val fromKB1 = col("fromKB1").isNotNull
-    pairs
-      .join(broadcast(kb1Entities.select(col("entity") as "src", lit(true) as "fromKB1")),
-        Seq("src"), "left")
-      .select(Seq(
-        when(fromKB1, col("src")).otherwise(col("dst")) as "e1",
-        when(fromKB1, col("dst")).otherwise(col("src")) as "e2") ++ keep.map(col): _*)
+  def orient(pairs: DataFrame, keep: String*): DataFrame = {
+    val fromKB1 = col("fromKB1")
+    pairs.select(Seq(
+      when(fromKB1, col("src")).otherwise(col("dst")) as "e1",
+      when(fromKB1, col("dst")).otherwise(col("src")) as "e2") ++ keep.map(col): _*)
   }
 
   /** Build the pruned disjunctive blocking graph of a prepared KB pair
@@ -92,7 +87,7 @@ object BlockingGraph {
     val valueEdges = topKDirected(p.betaPairs, "beta", p.cfg.bigK).localCheckpoint(true)
 
     // ---- Neighbor evidence (Alg 1 lines 20-33) ----
-    val retained = retainedBetaPairs(valueEdges, p.kb1)
+    val retained = retainedBetaPairs(valueEdges)
     val gamma = NeighborSimilarity.gammaPairs(retained, p.inNeighbors1, p.inNeighbors2)
     val neighborEdges = topKDirected(gamma, "gamma", p.cfg.bigK).localCheckpoint(true)
 
@@ -103,6 +98,13 @@ object BlockingGraph {
     * pairs (e1 ∈ KB1, e2 ∈ KB2, beta): the union of both pruning
     * directions.
     */
+  def retainedBetaPairs(valueEdges: DataFrame): DataFrame =
+    orient(valueEdges, "beta").distinct()
+
+  // Kept only for perfbench's TracedPipeline, which calls this shape; the
+  // edges carry their side, so `kb1` is not read. Deleted with ROADMAP
+  // item 1.
+  @deprecated("the edges carry their side: use retainedBetaPairs(valueEdges)", "0.1")
   def retainedBetaPairs(valueEdges: DataFrame, kb1: DataFrame): DataFrame =
-    orient(valueEdges, KBModel.entities(kb1), "beta").distinct()
+    retainedBetaPairs(valueEdges)
 }

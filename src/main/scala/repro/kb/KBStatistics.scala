@@ -31,12 +31,14 @@ object KBStatistics {
   private val Vocabulary = "([^:]+):".r
 
   /** Statistics of `kb` from its summary `s` and its entity `tokens`. Triples and
-    * types are counted on `kb`: `s` counts distinct triples, and objects per pred.
+    * types are counted on `kb`, in one aggregation: `s` counts distinct
+    * triples, and objects per pred.
     */
   def compute(kb: DataFrame, s: KBModel.KBSummary, tokens: DataFrame): KBStats = {
-    val triples = kb.count()
+    val counts = kb.agg(count(lit(1)),
+      countDistinct(when(col("objId").isNull && isTypePred, col("obj")))).head()
+    val (triples, types) = (counts.getLong(0), counts.getLong(1))
     val avgTok = Tokenizer.averageTokens(tokens)
-    val types = KBModel.literals(kb).filter(isTypePred).select("obj").distinct().count()
     // every pred is a key of one of the two maps
     val vocabularies = (s.attributes.keySet ++ s.relations.keySet)
       .flatMap(Vocabulary.findPrefixMatchOf(_).map(_.group(1))).size

@@ -5,6 +5,7 @@ import org.scalacheck.{Gen, Prop, Test => Check}
 import repro.{SparkSpec, TestKBs}
 import repro.blocking.PreparedPair
 import repro.core.MinoanERConfig
+import repro.kb.KBModel
 
 class BlockingGraphSpec extends SparkSpec {
 
@@ -46,15 +47,14 @@ class BlockingGraphSpec extends SparkSpec {
     assert(evaluated.value === 3L)
   }
 
-  /** Directed top-K on the driver: both directions of every pair, ranked
-    * per src by (w desc, dst), ranks 1..K kept.
+  /** Directed top-K on the driver: both directions of every pair, each
+    * flagged with its source's side, the first K per src by (w desc, dst)
+    * kept.
     */
   private def topKReference(pairs: Seq[(Long, Long, Double)], k: Int) =
-    pairs.flatMap { case (a, b, w) => Seq((a, b, w), (b, a, w)) }
+    pairs.flatMap { case (a, b, w) => Seq((a, b, w, true), (b, a, w, false)) }
       .groupBy(_._1).values
-      .flatMap(_.sortBy { case (_, dst, w) => (-w, dst) }.zipWithIndex.collect {
-        case ((src, dst, w), i) if i < k => (src, dst, w, i + 1)
-      })
+      .flatMap(_.sortBy { case (_, dst, w, _) => (-w, dst) }.take(k))
       .toSet
 
   test("topKDirected equals the driver-side directed top-K, ties included") {
@@ -63,7 +63,7 @@ class BlockingGraphSpec extends SparkSpec {
       Gen.oneOf(1.0, 2.0, 3.0))).map(_.distinctBy(p => (p._1, p._2)))
     val prop = Prop.forAll(pairsGen, Gen.choose(1, 4)) { (pairs, k) =>
       val got = BlockingGraph.topKDirected(pairs.toDF("e1", "e2", "w"), "w", k).collect()
-        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getInt(3))).toSet
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getBoolean(3))).toSet
       got == topKReference(pairs, k)
     }
     val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(30), prop)
@@ -94,17 +94,19 @@ class BlockingGraphSpec extends SparkSpec {
 
   test("retainedBetaPairs reorients edges KB1-first and dedupes") {
     val edges = Seq(
-      (TestKBs.Bray, TestKBs.Berkshire, 2.0, 1),
-      (TestKBs.Berkshire, TestKBs.Bray, 2.0, 1)).toDF("src", "dst", "beta", "rank")
-    val r = BlockingGraph.retainedBetaPairs(edges, TestKBs.kb1(spark)).collect()
+      (TestKBs.Bray, TestKBs.Berkshire, 2.0, true),
+      (TestKBs.Berkshire, TestKBs.Bray, 2.0, false)).toDF("src", "dst", "beta", "fromKB1")
+    val r = BlockingGraph.retainedBetaPairs(edges).collect()
     assert(r.length === 1)
     assert((r.head.getLong(0), r.head.getLong(1)) === ((TestKBs.Bray, TestKBs.Berkshire)))
   }
 
-  test("value edge ranks start at 1 per source") {
-    val bySrc = g.valueEdges.collect().groupBy(_.getLong(0))
-    for ((_, rows) <- bySrc) {
-      assert(rows.map(_.getInt(3)).min === 1)
+  test("figure-1 value and neighbor edges flag exactly the sources in KB1") {
+    val kb1 = KBModel.entities(TestKBs.kb1(spark)).collect().map(_.getLong(0)).toSet
+    for (edges <- Seq(g.valueEdges, g.neighborEdges)) {
+      val rows = edges.collect()
+      assert(rows.map(_.getAs[Boolean]("fromKB1")).toSet === Set(true, false))
+      assert(rows.forall(r => r.getAs[Boolean]("fromKB1") === kb1(r.getLong(0))))
     }
   }
 
