@@ -71,24 +71,25 @@ object BSL {
       pairs: DataFrame,
       weighting: Weighting): DataFrame = {
 
-    def weighted(grams: DataFrame, other: DataFrame): DataFrame = weighting match {
+    // TF-IDF counts the entities and each gram's document frequency once,
+    // over both KBs, for both sides
+    val weighted: DataFrame => DataFrame = weighting match {
       case TF =>
         // normalize TF by entity max to keep weights in [0,1]
-        val m = grams.groupBy("entity").agg(max("tf") as "maxtf")
-        grams.join(m, "entity").withColumn("w", col("tf") / col("maxtf"))
+        grams => grams.join(grams.groupBy("entity").agg(max("tf") as "maxtf"), "entity")
+          .withColumn("w", col("tf") / col("maxtf"))
       case TFIDF =>
-        val n1 = grams.select("entity").distinct().count()
-        val n2 = other.select("entity").distinct().count()
-        val total = (n1 + n2).toDouble
-        val df = grams.select("entity", "gram").union(other.select("entity", "gram"))
+        val total = (grams1.select("entity").distinct().count() +
+          grams2.select("entity").distinct().count()).toDouble
+        val df = grams1.select("entity", "gram").union(grams2.select("entity", "gram"))
           .groupBy("gram").agg(countDistinct("entity") as "df")
         // smoothed idf: strictly positive even for grams present everywhere
-        grams.join(df, "gram")
+        grams => grams.join(df, "gram")
           .withColumn("w", col("tf") * log(lit(1.0) + lit(total) / col("df")))
     }
 
-    val w1 = weighted(grams1, grams2).select(col("entity") as "e1", col("gram"), col("w") as "w1")
-    val w2 = weighted(grams2, grams1).select(col("entity") as "e2", col("gram"), col("w") as "w2")
+    val w1 = weighted(grams1).select(col("entity") as "e1", col("gram"), col("w") as "w1")
+    val w2 = weighted(grams2).select(col("entity") as "e2", col("gram"), col("w") as "w2")
 
     val stats1 = w1.groupBy("e1").agg(
       sum(col("w1") * col("w1")) as "sq1", sum("w1") as "sum1", count(lit(1)) as "n1")

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.core.UniqueMappingClustering
@@ -19,11 +19,14 @@ import scala.collection.mutable
   * every acceptance raises the graph score of neighbor pairs connected via
   * *compatible* relations. They differ in where relation compatibility
   * comes from and in their acceptance thresholds — captured here by
-  * [[IterConfig]].
+  * [[IterConfig]], one preset per system ([[sigma]], [[linda]], [[rimom]]).
   *
-  * Value scores and candidate generation are Spark jobs (token blocking +
-  * normalized TF-IDF similarity); the greedy loop is inherently sequential
-  * and runs on the driver, as in the original (non-parallel) systems.
+  * The engine has two halves. [[prepare]] is the Spark half: value scores
+  * and candidate generation (token blocking + normalized TF-IDF
+  * similarity), name seeds and both KBs' adjacency, collected to the driver
+  * once per KB pair. [[run]] is the greedy loop: inherently sequential, it
+  * runs on the driver over those [[Inputs]], as in the original
+  * (non-parallel) systems, and starts no Spark job.
   */
 object IterativeMatcher {
 
@@ -44,6 +47,46 @@ object IterativeMatcher {
         * (via compatible relations) are matched, match the remaining pair.
         */
       siblingCompletion: Boolean = false)
+
+  /** SiGMa-lite (Lacoste-Julien et al., KDD 2013): greedy collective
+    * matching seeded by identical entity names, propagating over
+    * *pre-aligned* relations. The true relation alignment is part of its
+    * input — modeling the domain-expert alignment the original assumes
+    * (paper §5: “linked with pre-aligned relations”); MinoanER needs no
+    * such input.
+    */
+  def sigma(relAlignment: Map[String, String]): IterConfig =
+    IterConfig(valueWeight = 0.6, threshold = 0.32, alignedCompat(relAlignment))
+
+  /** LINDA-lite (Böhm et al., CIKM 2012): like SiGMa, but fully automated —
+    * relations are considered compatible when their *names* are similar
+    * (edit similarity of the names without their vocabulary prefix at
+    * least 0.75), a requirement that rarely holds under the extreme schema
+    * heterogeneity of Web data (paper §5). Its published Restaurant
+    * numbers show high precision / low recall, modeled by the conservative
+    * acceptance threshold.
+    */
+  val linda: IterConfig = {
+    def stripVocab(p: String): String = p.dropWhile(_ != ':').drop(1) match {
+      case "" => p
+      case s => s
+    }
+    IterConfig(valueWeight = 0.7, threshold = 0.5, (p1, p2) => {
+      val s = editSimilarity(stripVocab(p1), stripVocab(p2))
+      if (s >= 0.75) s else 0.0
+    })
+  }
+
+  /** RiMOM-lite (Shao et al., JCST 2016): iterative instance matching over
+    * aligned relations (attribute alignment is part of its required input —
+    * paper §5: “this method requires attribute alignment”), with the
+    * RiMOM-IM completion heuristic: when all but one pair of neighbors via
+    * an aligned relation pair are matched, the remaining pair is matched
+    * too.
+    */
+  def rimom(relAlignment: Map[String, String]): IterConfig =
+    IterConfig(valueWeight = 0.6, threshold = 0.42, alignedCompat(relAlignment),
+      siblingCompletion = true)
 
   private val CapPerEntity = 30
 
@@ -76,27 +119,39 @@ object IterativeMatcher {
     */
   def nameSeeds(p: PreparedPair): DataFrame = NameBlocking.alphaEdges(p.names1, p.names2)
 
-  /** Neighbor adjacency collected to the driver: entity → Seq[(pred, neighbor)]. */
-  private def adjacency(kb: DataFrame): Map[Long, Seq[(String, Long)]] =
+  /** Entity → its (pred, neighbor) relation edges. */
+  type Adjacency = Map[Long, Seq[(String, Long)]]
+
+  /** What [[run]] reads of a KB pair, on the driver: the value candidates
+    * (e1, e2, score) capped per entity, the name seeds (e1, e2), and each
+    * KB's adjacency. Every preset reads the same inputs.
+    */
+  final case class Inputs(values: Seq[(Long, Long, Double)], seeds: Seq[(Long, Long)],
+                          adj1: Adjacency, adj2: Adjacency)
+
+  /** Neighbor adjacency collected to the driver. */
+  private def adjacency(kb: DataFrame): Adjacency =
     KBModel.relationTriples(kb).select("subj", "pred", "objId").distinct()
       .collect()
       .map(r => (r.getLong(0), r.getString(1), r.getLong(2)))
       .groupBy(_._1)
       .map { case (k2, v) => k2 -> v.map(t => (t._2, t._3)).toSeq }
 
-  /** Run the greedy collective matcher on a prepared pair; returns matches (e1, e2). */
-  def run(spark: SparkSession, p: PreparedPair, cfg: IterConfig): DataFrame = {
-    import spark.implicits._
+  /** Collect the engine's inputs of a prepared pair (the Spark half). */
+  def prepare(p: PreparedPair): Inputs =
+    Inputs(
+      UniqueMappingClustering.collectCandidates(valueScores(p), Seq("score"), CapPerEntity)
+        .map { case (a, b, s) => (a, b, s(0)) },
+      nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq,
+      adjacency(p.kb1), adjacency(p.kb2))
 
-    val values = UniqueMappingClustering
-      .collectCandidates(valueScores(p), Seq("score"), CapPerEntity)
-      .map { case (a, b, s) => (a, b, s(0)) }
-    val seeds = nameSeeds(p).collect().map(r => (r.getLong(0), r.getLong(1)))
-
-    val adj1 = adjacency(p.kb1)
-    val adj2 = adjacency(p.kb2)
+  /** Run the greedy collective matcher on the driver; returns matches (e1, e2)
+    * in acceptance order.
+    */
+  def run(in: Inputs, cfg: IterConfig): Seq[(Long, Long)] = {
+    val Inputs(values, seeds, adj1, adj2) = in
     // reverse adjacency: neighbor → (pred, source)
-    def reverse(a: Map[Long, Seq[(String, Long)]]): Map[Long, Seq[(String, Long)]] =
+    def reverse(a: Adjacency): Adjacency =
       a.toSeq.flatMap { case (src, es) => es.map { case (p, n) => (n, (p, src)) } }
         .groupBy(_._1).map { case (k2, v) => k2 -> v.map(_._2) }
     val rev1 = reverse(adj1)
@@ -184,6 +239,6 @@ object IterativeMatcher {
       }
     }
 
-    accepted.toSeq.toDF("e1", "e2")
+    accepted.toSeq
   }
 }

@@ -33,16 +33,14 @@ object BlockStatistics {
     */
   def compute(p: PreparedPair, truth: DataFrame): BlockStats = {
 
-    def sumLong(df: DataFrame, c: String): Long = {
-      val r = df.agg(coalesce(sum(col(c)), lit(0L))).collect()(0)
-      r.getLong(0)
+    // a block frame's count and total comparisons, in one aggregation
+    def sizeAndComparisons(blocks: DataFrame): (Long, Long) = {
+      val r = blocks.agg(count(lit(1)), coalesce(sum(col("comparisons")), lit(0L))).head()
+      (r.getLong(0), r.getLong(1))
     }
 
-    val nameBlocks = NameBlocking.sharedNameBlocks(p.names1, p.names2)
-    val bN = nameBlocks.count()
-    val bT = p.blocks.count()
-    val compN = sumLong(nameBlocks, "comparisons")
-    val compT = sumLong(p.blocks, "comparisons")
+    val (bN, compN) = sizeAndComparisons(NameBlocking.sharedNameBlocks(p.names1, p.names2))
+    val (bT, compT) = sizeAndComparisons(p.blocks)
 
     // A truth pair is covered iff it shares a retained token or any name.
     val covered = truth.select(col("id1") as "e1", col("id2") as "e2").distinct()

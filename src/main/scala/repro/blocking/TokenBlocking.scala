@@ -47,15 +47,16 @@ object TokenBlocking {
       .withColumn("comparisons", col(s"${n}1") * col(s"${n}2"))
 
   /** (comparisons, number of blocks) per distinct block cardinality,
-    * ascending, collected to the driver.
+    * ascending, collected to the driver and sorted there: the distinct
+    * cardinalities are few, and a Spark `orderBy` would add a sampling job.
     */
   private def histogram(blocks: DataFrame): Array[(Long, Long)] =
     blocks
       .groupBy("comparisons")
       .agg(count(lit(1)) as "nblocks")
-      .orderBy("comparisons")
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))
+      .sortBy(_._1)
 
   private val PurgeFactor = 10.0
 

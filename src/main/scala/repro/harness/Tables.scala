@@ -93,25 +93,33 @@ object Tables {
       .filter(s => PaperNumbers.table3(s).contains(profileName))
 
   /** The restricted P/R/F1 of one system over the bundle's prepared pair
-    * `p` (BSL reports the best of its own grid sweep).
+    * `p` (BSL reports the best of its own grid sweep). The iterative
+    * systems read `iter`, the collective-matching engine's inputs of `p`,
+    * which the others never evaluate.
     */
-  def runSystem(spark: SparkSession, b: Bundle, p: PreparedPair, system: String): Scores = {
+  def runSystem(spark: SparkSession, b: Bundle, p: PreparedPair, system: String,
+                iter: => IterativeMatcher.Inputs): Scores = {
     def score(matches: DataFrame) = Evaluation.scoreRestricted(matches, b.truth)
+    def scoreIterative(cfg: IterativeMatcher.IterConfig) =
+      Evaluation.scorePairsRestricted(IterativeMatcher.run(iter, cfg), Evaluation.truthSet(b.truth))
     system match {
       case "BSL" => BSL.run(spark, p, b.truth).bestScores
       case "MinoanER" => score(MinoanER.matchGraph(BlockingGraph.build(p), p))
       case "PARIS" => score(ParisLite.run(spark, p))
-      case "SiGMa" => score(SigmaLite.run(spark, p, b.gen.relAlignment))
-      case "LINDA" => score(LindaLite.run(spark, p))
-      case "RiMOM" => score(RimomLite.run(spark, p, b.gen.relAlignment))
+      case "SiGMa" => scoreIterative(IterativeMatcher.sigma(b.gen.relAlignment))
+      case "LINDA" => scoreIterative(IterativeMatcher.linda)
+      case "RiMOM" => scoreIterative(IterativeMatcher.rimom(b.gen.relAlignment))
       case other => sys.error(s"unknown system: $other")
     }
   }
 
-  /** Every system the paper reports for the bundle, over one prepared pair. */
+  /** Every system the paper reports for the bundle, over one prepared pair.
+    * The iterative systems' inputs are collected once, on first use.
+    */
   def table3(spark: SparkSession, b: Bundle): Seq[(String, Scores)] = {
     val p = PreparedPair(b.kb1, b.kb2, MinoanERConfig())
-    try systemsFor(b.profile.name).map(s => s -> runSystem(spark, b, p, s))
+    lazy val iter = IterativeMatcher.prepare(p)
+    try systemsFor(b.profile.name).map(s => s -> runSystem(spark, b, p, s, iter))
     finally p.unpersist()
   }
 
@@ -141,11 +149,11 @@ object Tables {
   def table4(spark: SparkSession, b: Bundle,
              cfg: MinoanERConfig = MinoanERConfig()): Seq[(String, Scores)] = {
     val p = PreparedPair(b.kb1, b.kb2, cfg)
-    val g = BlockingGraph.build(p)
-    val rows = table4Variants.map { case (name, v) =>
-      name -> Evaluation.scoreRestricted(MinoanER.matchGraph(g, p, v), b.truth)
-    }
-    p.unpersist()
-    rows
+    try {
+      val g = BlockingGraph.build(p)
+      table4Variants.map { case (name, v) =>
+        name -> Evaluation.scoreRestricted(MinoanER.matchGraph(g, p, v), b.truth)
+      }
+    } finally p.unpersist()
   }
 }

@@ -1,8 +1,10 @@
 package repro.baselines
 
+import org.apache.spark.JobCounter
+
 import repro.{SparkSpec, TestKBs}
 import repro.blocking.PreparedPair
-import repro.core.MinoanERConfig
+import repro.core.{Evaluation, MinoanERConfig}
 import repro.data.WebKBGen
 
 class IterativeMatcherSpec extends SparkSpec {
@@ -10,6 +12,12 @@ class IterativeMatcherSpec extends SparkSpec {
   private lazy val figure1 = PreparedPair(TestKBs.kb1(spark), TestKBs.kb2(spark), MinoanERConfig())
   private lazy val tiny = WebKBGen.generate(spark, TestKBs.tinyProfile)
   private lazy val tinyPair = PreparedPair(tiny.kb1, tiny.kb2, MinoanERConfig())
+  private lazy val figure1Inputs = IterativeMatcher.prepare(figure1)
+  private lazy val tinyInputs = IterativeMatcher.prepare(tinyPair)
+
+  private def scoreTiny(cfg: IterativeMatcher.IterConfig) =
+    Evaluation.scorePairsRestricted(IterativeMatcher.run(tinyInputs, cfg),
+      Evaluation.truthSet(tiny.truth))
 
   test("editSimilarity of identical strings is 1") {
     assert(IterativeMatcher.editSimilarity("chef", "chef") === 1.0)
@@ -55,9 +63,8 @@ class IterativeMatcherSpec extends SparkSpec {
     val align = Map("hasChef" -> "headChef", "territorial" -> "county")
     val compat: IterativeMatcher.RelCompat =
       (p1, p2) => if (align.get(p1).contains(p2)) 1.0 else 0.0
-    val m = IterativeMatcher.run(spark, figure1,
-      IterativeMatcher.IterConfig(valueWeight = 0.5, threshold = 0.1, relCompat = compat))
-      .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val m = IterativeMatcher.run(figure1Inputs,
+      IterativeMatcher.IterConfig(valueWeight = 0.5, threshold = 0.1, relCompat = compat)).toSet
     assert(m.contains((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
     assert(m.contains((TestKBs.Bray, TestKBs.Berkshire)))
     assert(m.contains((TestKBs.Restaurant1, TestKBs.Restaurant2)))
@@ -65,35 +72,40 @@ class IterativeMatcherSpec extends SparkSpec {
 
   test("a high threshold suppresses low-value matches") {
     val compat: IterativeMatcher.RelCompat = (_, _) => 0.0
-    val m = IterativeMatcher.run(spark, figure1,
+    val m = IterativeMatcher.run(figure1Inputs,
       IterativeMatcher.IterConfig(valueWeight = 1.0, threshold = 0.99, relCompat = compat))
-      .collect().map(r => (r.getLong(0), r.getLong(1)))
     // only the name seed; no value score reaches the threshold
-    assert(m.toSeq === Seq((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
+    assert(m === Seq((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
   }
 
   test("matches form a partial 1-1 mapping") {
-    val m = SigmaLite.run(spark, tinyPair, tiny.relAlignment)
-      .collect().map(r => (r.getLong(0), r.getLong(1)))
+    val m = IterativeMatcher.run(tinyInputs, IterativeMatcher.sigma(tiny.relAlignment))
     assert(m.map(_._1).distinct.length === m.length)
     assert(m.map(_._2).distinct.length === m.length)
   }
 
   test("SiGMa-lite on the strongly similar tiny profile reaches high F1") {
-    val s = repro.core.Evaluation.scoreRestricted(
-      SigmaLite.run(spark, tinyPair, tiny.relAlignment), tiny.truth)
+    val s = scoreTiny(IterativeMatcher.sigma(tiny.relAlignment))
     assert(s.f1 > 0.8, s"scores: ${s.pct}")
   }
 
   test("RiMOM-lite runs and produces sane output on the tiny profile") {
-    val s = repro.core.Evaluation.scoreRestricted(
-      RimomLite.run(spark, tinyPair, tiny.relAlignment), tiny.truth)
+    val s = scoreTiny(IterativeMatcher.rimom(tiny.relAlignment))
     assert(s.f1 > 0.5, s"scores: ${s.pct}")
   }
 
   test("LINDA-lite works on similar relation names") {
-    val s = repro.core.Evaluation.scoreRestricted(
-      LindaLite.run(spark, tinyPair), tiny.truth)
+    val s = scoreTiny(IterativeMatcher.linda)
     assert(s.precision > 0.7, s"scores: ${s.pct}")
+  }
+
+  test("run starts no Spark job: the three presets share one prepare") {
+    val in = tinyInputs
+    val (_, jobs) = JobCounter(spark.sparkContext) {
+      for (cfg <- Seq(IterativeMatcher.sigma(tiny.relAlignment), IterativeMatcher.linda,
+                      IterativeMatcher.rimom(tiny.relAlignment)))
+        IterativeMatcher.run(in, cfg)
+    }
+    assert(jobs === 0L)
   }
 }

@@ -111,7 +111,7 @@ class MinoanERSpec extends SparkSpec {
     assert(count === 639)
     assert(digest === "239e7b682b601628")
     info(s"Spark jobs of one resolve: $jobs")
-    assert(jobs <= 46L, s"$jobs Spark jobs")
+    assert(jobs <= 44L, s"$jobs Spark jobs")
   }
 
   test("restaurant-lite (seed 1): every Table-4 variant keeps its match set") {
