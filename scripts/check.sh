@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge check: the tier-1 test suite, a compile of the Table 1-4 bench
-# suites (bench/), two runs of the `repro.jobs.Reproduce` entry point (Tables
-# 1 and 2 on restaurant-lite), then one traced benchmark run on resolve-small. The
+# suites (bench/), three runs of the `repro.jobs.Reproduce` entry point
+# (Tables 1, 2 and 3 on restaurant-lite; Table 3 runs all six systems, BSL's
+# grid included), then one traced benchmark run on resolve-small. The
 # benchmark run rebuilds perfbench/ against the current sources, so an API
 # change that breaks the benchmark fails here, and it checks that the
 # traced (stage-by-stage) and untraced match sets agree.
@@ -25,10 +26,11 @@ timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true Test/compile
 # that breaks the Table 1-4 bench suites
 timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true bench/Test/compile
 timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true "testOnly *"
-# the spark-submit entry point (jobs/): render Tables 1 and 2 on the smallest
-# profile; sbt stops at the first run that exits non-zero
+# the spark-submit entry point (jobs/): render Tables 1, 2 and 3 on the
+# smallest profile; sbt stops at the first run that exits non-zero
 timeout -k 10 2670 sbt --batch -Dsbt.log.noformat=true \
-  "runMain repro.jobs.Reproduce 1 restaurant-lite" "runMain repro.jobs.Reproduce 2 restaurant-lite"
+  "runMain repro.jobs.Reproduce 1 restaurant-lite" "runMain repro.jobs.Reproduce 2 restaurant-lite" \
+  "runMain repro.jobs.Reproduce 3 restaurant-lite"
 
 out="$(python3 perfbench/run.py --workload resolve-small --seed 1 --seconds 1 --trace 1)"
 printf '%s\n' "$out" | tail -n 2

@@ -1,6 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.core.{Evaluation, Scores, UniqueMappingClustering}
@@ -25,18 +26,20 @@ import repro.blocking.PreparedPair
   */
 object BSL {
 
-  sealed trait Weighting { def name: String }
-  case object TF extends Weighting { val name = "TF" }
-  case object TFIDF extends Weighting { val name = "TF-IDF" }
+  /** The paper's grid: the n-gram sizes; each weighting's similarities
+    * with their columns of [[pairSimilarities]] (SiGMa applies only to
+    * TF-IDF, as in the paper; Jaccard reads only gram counts, so both
+    * weightings share its column); the UMC thresholds, [0, 1) step 0.05.
+    */
+  val NgramSizes: Seq[Int] = Seq(1, 2, 3)
+  val Similarities: Seq[(String, Seq[(String, String)])] = Seq(
+    "TF" -> Seq("Cosine" -> "tfCosine", "Jaccard" -> "jaccard", "GenJaccard" -> "tfGenJaccard"),
+    "TF-IDF" -> Seq("Cosine" -> "tfidfCosine", "Jaccard" -> "jaccard",
+                    "GenJaccard" -> "tfidfGenJaccard", "SiGMa" -> "sigma"))
+  val Thresholds: Seq[Double] = (0 until 20).map(_ * 0.05)
 
-  sealed trait Sim { def name: String }
-  case object Cosine extends Sim { val name = "Cosine" }
-  case object Jaccard extends Sim { val name = "Jaccard" }
-  case object GenJaccard extends Sim { val name = "GenJaccard" }
-  case object SigmaSim extends Sim { val name = "SiGMa" }
-
-  final case class BslConfig(n: Int, weighting: Weighting, sim: Sim, threshold: Double) {
-    def label: String = f"n=$n%d/${weighting.name}%s/${sim.name}%s/t=$threshold%.2f"
+  final case class BslConfig(n: Int, weighting: String, sim: String, threshold: Double) {
+    def label: String = f"n=$n%d/$weighting%s/$sim%s/t=$threshold%.2f"
   }
 
   final case class BslResult(best: BslConfig, bestScores: Scores,
@@ -63,112 +66,94 @@ object BSL {
     grams.groupBy("entity", "gram").agg(count(lit(1)) as "tf")
   }
 
-  /** All similarity columns for one (n, weighting) slice, restricted to the
-    * candidate pairs. Output: (e1, e2, cosine, jaccard, genJaccard, sigma).
+  /** Every similarity column of the grid for one n-gram size, restricted to
+    * the candidate pairs: Jaccard, the TF-IDF SiGMa similarity, and Cosine
+    * and Generalized Jaccard under each weighting. Pairs of which an entity
+    * has no gram are left out. Output: (e1, e2, jaccard, sigma, tfCosine,
+    * tfGenJaccard, tfidfCosine, tfidfGenJaccard).
     */
-  def pairSimilarities(
-      grams1: DataFrame, grams2: DataFrame,
-      pairs: DataFrame,
-      weighting: Weighting): DataFrame = {
-
+  def pairSimilarities(grams1: DataFrame, grams2: DataFrame, pairs: DataFrame): DataFrame = {
     // TF-IDF counts the entities and each gram's document frequency once,
     // over both KBs, for both sides
-    val weighted: DataFrame => DataFrame = weighting match {
-      case TF =>
-        // normalize TF by entity max to keep weights in [0,1]
-        grams => grams.join(grams.groupBy("entity").agg(max("tf") as "maxtf"), "entity")
-          .withColumn("w", col("tf") / col("maxtf"))
-      case TFIDF =>
-        val total = (grams1.select("entity").distinct().count() +
-          grams2.select("entity").distinct().count()).toDouble
-        val df = grams1.select("entity", "gram").union(grams2.select("entity", "gram"))
-          .groupBy("gram").agg(countDistinct("entity") as "df")
-        // smoothed idf: strictly positive even for grams present everywhere
-        grams => grams.join(df, "gram")
-          .withColumn("w", col("tf") * log(lit(1.0) + lit(total) / col("df")))
-    }
-
-    val w1 = weighted(grams1).select(col("entity") as "e1", col("gram"), col("w") as "w1")
-    val w2 = weighted(grams2).select(col("entity") as "e2", col("gram"), col("w") as "w2")
-
-    val stats1 = w1.groupBy("e1").agg(
-      sum(col("w1") * col("w1")) as "sq1", sum("w1") as "sum1", count(lit(1)) as "n1")
-    val stats2 = w2.groupBy("e2").agg(
-      sum(col("w2") * col("w2")) as "sq2", sum("w2") as "sum2", count(lit(1)) as "n2")
-
-    val shared = pairs
-      .join(w1, "e1")
-      .join(w2, Seq("e2", "gram"))
-      .groupBy("e1", "e2")
-      .agg(
-        sum(col("w1") * col("w2")) as "dot",
-        sum(least(col("w1"), col("w2"))) as "smin",
-        sum(greatest(col("w1"), col("w2"))) as "smaxShared",
-        sum(col("w1") + col("w2")) as "ssum",
-        count(lit(1)) as "inter")
+    val total = (grams1.select("entity").distinct().count() +
+      grams2.select("entity").distinct().count()).toDouble
+    val df = grams1.select("entity", "gram").union(grams2.select("entity", "gram"))
+      .groupBy("gram").agg(countDistinct("entity") as "df")
+    val ws = Seq("tf", "tfidf")
+    // (e<i>, gram, tf<i>, tfidf<i>): TF normalized by the entity's max to
+    // keep weights in [0,1], and TF times a smoothed idf, strictly positive
+    // even for grams present everywhere
+    def weighted(grams: DataFrame, i: Int): DataFrame =
+      grams.join(df, "gram").select(col("entity") as s"e$i", col("gram"),
+        col("tf") / max("tf").over(Window.partitionBy("entity")) as s"tf$i",
+        (col("tf") * log(lit(1.0) + lit(total) / col("df"))) as s"tfidf$i")
+    val (w1, w2) = (weighted(grams1, 1), weighted(grams2, 2))
+    // per entity: its gram count, and each weighting's Σ w² and Σ w
+    def stats(w: DataFrame, i: Int): DataFrame = w.groupBy(s"e$i").agg(count(lit(1)) as s"n$i",
+      ws.flatMap(k => Seq(sum(col(s"$k$i") * col(s"$k$i")) as s"${k}Sq$i",
+        sum(s"$k$i") as s"${k}Sum$i")): _*)
+    val shared = pairs.join(w1, "e1").join(w2, Seq("e2", "gram")).groupBy("e1", "e2")
+      .agg(count(lit(1)) as "inter", ws.flatMap { k =>
+        val (v1, v2) = (col(s"${k}1"), col(s"${k}2"))
+        Seq(sum(v1 * v2) as s"${k}Dot", sum(least(v1, v2)) as s"${k}Min")
+      } :+ (sum(col("tfidf1") + col("tfidf2")) as "tfidfShared"): _*)
 
     // left-join back so pairs with no shared grams score 0
-    pairs
-      .join(shared, Seq("e1", "e2"), "left")
-      .na.fill(0.0, Seq("dot", "smin", "smaxShared", "ssum"))
-      .na.fill(0L, Seq("inter"))
-      .join(stats1, "e1").join(stats2, "e2")
-      .select(col("e1"), col("e2"),
-        (col("dot") / (sqrt(col("sq1")) * sqrt(col("sq2")))) as "cosine",
+    pairs.join(shared, Seq("e1", "e2"), "left").na.fill(0)
+      .join(stats(w1, 1), "e1").join(stats(w2, 2), "e2")
+      .select(Seq(col("e1"), col("e2"),
         (col("inter") / (col("n1") + col("n2") - col("inter"))) as "jaccard",
-        // Σ min over shared / (Σ max over union) — max over union =
-        // Σ_e1 w + Σ_e2 w − (Σ_shared min + Σ_shared max) + Σ_shared max
-        (col("smin") /
-          (col("sum1") + col("sum2") - col("smin"))) as "genJaccard",
-        (col("ssum") / (col("sum1") + col("sum2"))) as "sigma")
+        (col("tfidfShared") / (col("tfidfSum1") + col("tfidfSum2"))) as "sigma") ++
+        ws.flatMap { k =>
+          def c(name: String) = col(k + name)
+          // Generalized Jaccard: Σ min over shared / Σ max over union, where
+          // Σ max over union = Σ_e1 w + Σ_e2 w − Σ_shared min
+          Seq((c("Dot") / (sqrt(c("Sq1")) * sqrt(c("Sq2")))) as s"${k}Cosine",
+            (c("Min") / (c("Sum1") + c("Sum2") - c("Min"))) as s"${k}GenJaccard")
+        }: _*)
   }
 
   private val CapPerEntity = 50
 
   /** Full grid sweep over `p`'s candidate pairs; returns the best
-    * configuration by F1. Neighbor-only pairs have zero value similarity
-    * and can never win UMC at a positive threshold, so they are omitted
-    * (documented deviation).
+    * configuration by F1 (the first of the highest F1 and lowest
+    * threshold, in (n, weighting, similarity, threshold) order).
+    * Neighbor-only pairs have zero value similarity and can never win UMC
+    * at a positive threshold, so they are omitted (documented deviation).
+    *
+    * One similarity query per n-gram size scores both weightings; each
+    * weighting collects its columns under its own per-entity cap. One
+    * greedy UMC pass per similarity serves every threshold: greedy UMC
+    * decides a pair of score ≥ t only from the pairs ranked above it, so
+    * its matches at threshold t are the pass's accepted pairs of score ≥ t.
     */
-  def run(spark: SparkSession,
-          p: PreparedPair,
-          truth: DataFrame,
-          ns: Seq[Int] = Seq(1, 2, 3),
-          thresholds: Seq[Double] = (0 until 20).map(_ * 0.05)): BslResult = {
-
+  def run(p: PreparedPair, truth: DataFrame): BslResult = {
     val pairs = p.candidatePairs.cache()
     pairs.count()
     val tset = Evaluation.truthSet(truth)
 
-    val results = Seq.newBuilder[(BslConfig, Scores)]
-    for (n <- ns) {
-      val g1 = ngrams(p.kb1, n).cache()
-      val g2 = ngrams(p.kb2, n).cache()
-      for (weighting <- Seq[Weighting](TF, TFIDF)) {
-        val sims = pairSimilarities(g1, g2, pairs, weighting)
-        val simCols: Seq[(Sim, String)] = weighting match {
-          case TF => Seq(Cosine -> "cosine", Jaccard -> "jaccard", GenJaccard -> "genJaccard")
-          case TFIDF => Seq(Cosine -> "cosine", Jaccard -> "jaccard",
-                            GenJaccard -> "genJaccard", SigmaSim -> "sigma")
-        }
-        // one Spark collect per weighting slice (all sim columns at once);
-        // the UMC sweep over thresholds runs driver-side.
+    val all = NgramSizes.flatMap { n =>
+      val (g1, g2) = (ngrams(p.kb1, n).cache(), ngrams(p.kb2, n).cache())
+      val sims = pairSimilarities(g1, g2, pairs).cache()
+      val rows = Similarities.flatMap { case (weighting, simCols) =>
         val collected = UniqueMappingClustering.collectCandidates(
           sims, simCols.map(_._2), CapPerEntity)
-        for (((sim, _), idx) <- simCols.zipWithIndex) {
-          val scored = collected.map { case (a, b, ws) => (a, b, ws(idx)) }
-          for (t <- thresholds) {
-            val m = UniqueMappingClustering.cluster(scored, math.max(t, 1e-12))
-            results += ((BslConfig(n, weighting, sim, t),
-              Evaluation.scorePairsRestricted(m, tset)))
+        val scores = collected.map { case (a, b, ws) => (a, b) -> ws }.toMap
+        simCols.zipWithIndex.flatMap { case ((sim, _), idx) =>
+          // one pass at t = 0, where UMC still accepts no pair scoring 0
+          val accepted = UniqueMappingClustering.cluster(
+            collected.map { case (a, b, ws) => (a, b, ws(idx)) }, 1e-12)
+          Thresholds.map { t =>
+            val m = accepted.takeWhile(pair => scores(pair)(idx) >= t)
+            BslConfig(n, weighting, sim, t) -> Evaluation.scorePairsRestricted(m, tset)
           }
         }
       }
-      g1.unpersist(); g2.unpersist()
+      sims.unpersist(); g1.unpersist(); g2.unpersist()
+      rows
     }
     pairs.unpersist()
 
-    val all = results.result()
     val (bestCfg, bestScores) = all.maxBy { case (c, s) => (s.f1, -c.threshold) }
     BslResult(bestCfg, bestScores, all)
   }

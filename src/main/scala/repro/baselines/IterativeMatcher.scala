@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core.UniqueMappingClustering
 import repro.kb.KBModel
-import repro.blocking.{NameBlocking, PreparedPair}
+import repro.blocking.PreparedPair
 
 import scala.collection.mutable
 
@@ -110,14 +110,14 @@ object IterativeMatcher {
     */
   def valueScores(p: PreparedPair): DataFrame =
     BSL.pairSimilarities(BSL.ngrams(p.kb1, 1), BSL.ngrams(p.kb2, 1),
-      p.betaPairs.select("e1", "e2"), BSL.TFIDF)
+      p.betaPairs.select("e1", "e2"))
       .select(col("e1"), col("e2"), col("sigma") as "score")
       .filter(col("score") > 0)
 
   /** Seed pairs: 1×1 identical-name blocks (SiGMa starts from identical
     * entity names).
     */
-  def nameSeeds(p: PreparedPair): DataFrame = NameBlocking.alphaEdges(p.names1, p.names2)
+  def nameSeeds(p: PreparedPair): DataFrame = p.alphaEdges
 
   /** Entity → its (pred, neighbor) relation edges. */
   type Adjacency = Map[Long, Seq[(String, Long)]]

@@ -27,6 +27,11 @@ final case class PreparedPair(kb1: DataFrame, kb2: DataFrame, cfg: MinoanERConfi
   lazy val names1: DataFrame = NameDiscovery.names(kb1, summary1, cfg.k)
   lazy val names2: DataFrame = NameDiscovery.names(kb2, summary2, cfg.k)
 
+  /** α edges (e1, e2), the pairs of 1×1 name blocks, checkpointed: the
+    * graph and the iterative baselines' name seeds read them.
+    */
+  lazy val alphaEdges: DataFrame = NameBlocking.alphaEdges(names1, names2).localCheckpoint(true)
+
   /** (entity, token) of each KB. */
   lazy val tokens1: DataFrame = Tokenizer.entityTokens(kb1).cache()
   lazy val tokens2: DataFrame = Tokenizer.entityTokens(kb2).cache()

@@ -21,7 +21,10 @@ import scala.collection.mutable
 object UniqueMappingClustering {
 
   /** Driver-side greedy pass over scored pairs. Deterministic: ties broken
-    * by (e1, e2).
+    * by (e1, e2). Returns the matches in acceptance order, i.e. by
+    * decreasing score; a pair is decided only from the pairs ranked above
+    * it, so the matches at a threshold t are the matches of a pass at any
+    * lower threshold that score ≥ t.
     */
   def cluster(pairs: Seq[(Long, Long, Double)], threshold: Double): Seq[(Long, Long)] = {
     val sorted = pairs.sortBy { case (a, b, s) => (-s, a, b) }
@@ -41,14 +44,17 @@ object UniqueMappingClustering {
 
   /** Collect scored pairs (e1, e2, scores[]) for one or more score
     * columns at once, with a per-entity cap, ready for [[cluster]]. Pairs
-    * whose best score is ≤ 0 are dropped. The cap windows rank by the max
-    * score across columns (conservative — may keep extra rows, never drops
-    * a row that any single-column cap would keep).
+    * whose best score is ≤ 0 are dropped. A row survives if it is among the
+    * `capPerEntity` best of its e1 or of its e2, both ranked by the max
+    * score across the columns. So with several columns the cap is not the
+    * union of single-column caps: a row ranked first by one column but
+    * below the cap by the max, on both of its entities, is dropped,
+    * although a cap on that column alone would keep it.
     */
   def collectCandidates(
       scored: DataFrame,
       scoreCols: Seq[String],
-      capPerEntity: Int = 50): Seq[(Long, Long, Array[Double])] = {
+      capPerEntity: Int): Seq[(Long, Long, Array[Double])] = {
     val best = scoreCols.map(col).reduce(greatest(_, _))
     val w1 = Window.partitionBy("e1").orderBy(best.desc, col("e2"))
     val w2 = Window.partitionBy("e2").orderBy(best.desc, col("e1"))

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.blocking.{NameBlocking, PreparedPair}
+import repro.blocking.PreparedPair
 
 /** The pruned, directed disjunctive blocking graph (paper §3.2–3.3).
   *
@@ -73,15 +73,15 @@ object BlockingGraph {
     * All three evidence types are computed from cheap inverted indices:
     * name blocks (α), purged token blocks (β), and the reversed top-N
     * neighbor lists applied to the retained β edges (γ). Each edge frame
-    * is materialized where it is made, with its lineage truncated (eager
-    * localCheckpoint): the construction plans are deep (token explosion →
+    * is materialized where it is made (α by the pair), with its lineage
+    * truncated (eager localCheckpoint): the construction plans are deep (token explosion →
     * purging → three-way join → windows → γ propagation → windows), and
     * re-analyzing them for every rule would dominate the driver's time.
     * γ reads the checkpointed value edges.
     */
   def build(p: PreparedPair): DisjunctiveBlockingGraph = {
     // ---- Name evidence (Alg 1 lines 5-9) ----
-    val alpha = NameBlocking.alphaEdges(p.names1, p.names2).localCheckpoint(true)
+    val alpha = p.alphaEdges
 
     // ---- Value evidence (Alg 1 lines 10-19) ----
     val valueEdges = topKDirected(p.betaPairs, "beta", p.cfg.bigK).localCheckpoint(true)

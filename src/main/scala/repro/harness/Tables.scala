@@ -103,7 +103,7 @@ object Tables {
     def scoreIterative(cfg: IterativeMatcher.IterConfig) =
       Evaluation.scorePairsRestricted(IterativeMatcher.run(iter, cfg), Evaluation.truthSet(b.truth))
     system match {
-      case "BSL" => BSL.run(spark, p, b.truth).bestScores
+      case "BSL" => BSL.run(p, b.truth).bestScores
       case "MinoanER" => score(MinoanER.matchGraph(BlockingGraph.build(p), p))
       case "PARIS" => score(ParisLite.run(spark, p))
       case "SiGMa" => scoreIterative(IterativeMatcher.sigma(b.gen.relAlignment))

@@ -6,6 +6,7 @@ import repro.{SparkSpec, TestKBs}
 import repro.blocking.PreparedPair
 import repro.core.{Evaluation, MinoanERConfig}
 import repro.data.WebKBGen
+import repro.graph.BlockingGraph
 
 class IterativeMatcherSpec extends SparkSpec {
 
@@ -48,6 +49,11 @@ class IterativeMatcherSpec extends SparkSpec {
     val seeds = IterativeMatcher.nameSeeds(figure1)
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(seeds === Set((TestKBs.JohnLakeA, TestKBs.JonnyLake)))
+  }
+
+  test("nameSeeds and the graph read the pair's one alpha frame") {
+    assert(IterativeMatcher.nameSeeds(figure1) eq figure1.alphaEdges)
+    assert(BlockingGraph.build(figure1).alphaEdges eq figure1.alphaEdges)
   }
 
   test("valueScores are normalized and positive for overlapping pairs") {

@@ -26,6 +26,8 @@ class PreparedPairSpec extends SparkSpec {
     assert(p.summary2 === KBModel.summary(kb2))
     assertSame(p.names1, NameDiscovery.names(kb1, cfg.k), "names1")
     assertSame(p.names2, NameDiscovery.names(kb2, cfg.k), "names2")
+    assertSame(p.alphaEdges, NameBlocking.alphaEdges(
+      NameDiscovery.names(kb1, cfg.k), NameDiscovery.names(kb2, cfg.k)), "alphaEdges")
     val et1 = Tokenizer.entityTokens(kb1)
     val et2 = Tokenizer.entityTokens(kb2)
     assertSame(p.tokens1, et1, "tokens1")

@@ -62,18 +62,24 @@ class UniqueMappingClusteringSpec extends SparkSpec {
 
   test("collectCandidates caps per-entity candidates") {
     import spark.implicits._
-    val scored = (1 to 100).map(i => (1L, 100L + i, i / 100.0)).toDF("e1", "e2", "score")
-    val c = UniqueMappingClustering.collectCandidates(scored, Seq("score"), capPerEntity = 10)
-    // e1-side cap is 10, but each e2 keeps its own top-1 → all rows survive
-    // the OR of the two windows only where ranks allow; verify bound:
-    assert(c.size <= 100)
-    assert(c.nonEmpty)
+    // entity 1 and entity 200 have 60 candidates each; their shared row
+    // ranks first by column a but last by max(a, b) on both sides, and
+    // every other row is its other entity's only candidate
+    val special = (1L, 200L, 0.5, 0.0)
+    val others = (1 to 59).flatMap(i => Seq(
+      (1L, 100L + i, i / 200.0, 0.6 + i / 200.0),
+      (1L + i, 200L, 0.01, 0.6 + i / 200.0)))
+    val scored = (special +: others).toDF("e1", "e2", "a", "b")
+    def kept(cols: String*) = UniqueMappingClustering.collectCandidates(scored, cols, 50)
+      .map(r => (r._1, r._2)).toSet
+    assert(kept("a", "b") === others.map(r => (r._1, r._2)).toSet)
+    assert(kept("a").contains((1L, 200L)))
   }
 
   test("collectCandidates drops non-positive scores") {
     import spark.implicits._
     val scored = Seq((1L, 101L, 0.0), (2L, 102L, 0.5)).toDF("e1", "e2", "score")
-    val c = UniqueMappingClustering.collectCandidates(scored, Seq("score"))
+    val c = UniqueMappingClustering.collectCandidates(scored, Seq("score"), 50)
     assert(c.map(p => (p._1, p._2)) === Seq((2L, 102L)))
   }
 }
